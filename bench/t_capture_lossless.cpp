@@ -3,12 +3,15 @@
 //
 // Two parts:
 //   1. google-benchmark microbenches of the capture hot path (ring
-//      push/pop single- and two-threaded) establishing the packets/sec
-//      ceiling of this host.
+//      push/pop, the one-shard engine's offer/drain, and the sharded
+//      engine on real worker threads — BM_ShardedCapture/1 is the
+//      producer -> one ring -> one worker rate) establishing the
+//      packets/sec ceiling of this host.
 //   2. A printed loss table: offered load (Gbps-equivalent IMIX) vs
-//      ring capacity, with a deliberately paced consumer, reproducing
-//      the knee where "lossless" stops being true — the paper's reason
-//      campus-scale (10-20G) is tractable where carrier-scale is not.
+//      ring capacity on the one-shard engine, with a deliberately paced
+//      consumer, reproducing the knee where "lossless" stops being
+//      true — the paper's reason campus-scale (10-20G) is tractable
+//      where carrier-scale is not.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,9 +19,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
-#include <thread>
 
-#include "campuslab/capture/engine.h"
 #include "campuslab/capture/flow.h"
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/obs/registry.h"
@@ -71,58 +72,26 @@ void BM_RingPushPop(benchmark::State& state) {
 BENCHMARK(BM_RingPushPop);
 
 void BM_EngineOfferDrain(benchmark::State& state) {
-  capture::CaptureConfig cfg;
-  cfg.ring_capacity = static_cast<std::size_t>(state.range(0));
-  capture::CaptureEngine engine(cfg);
+  capture::ShardedCaptureEngine engine(
+      {.shards = 1,
+       .ring_capacity = static_cast<std::size_t>(state.range(0))});
   std::uint64_t sink_bytes = 0;
-  engine.add_sink([&](const capture::TaggedPacket& t) {
-    sink_bytes += t.pkt.size();
+  engine.add_sink_factory([&](std::size_t) {
+    return [&](const capture::DecodedPacket& t) {
+      sink_bytes += t.pkt.size();
+    };
   });
   auto frames = make_imix(4096, 2);
   std::size_t i = 0;
   for (auto _ : state) {
     engine.offer(frames[i++ & 4095], sim::Direction::kInbound);
-    if ((i & 63) == 0) engine.poll(64);
+    if ((i & 63) == 0) engine.poll_shard(0, 64);
   }
   engine.drain();
   benchmark::DoNotOptimize(sink_bytes);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EngineOfferDrain)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 18);
-
-void BM_TwoThreadCapture(benchmark::State& state) {
-  // Sustained producer/consumer rate across real threads.
-  for (auto _ : state) {
-    state.PauseTiming();
-    capture::CaptureConfig cfg;
-    cfg.ring_capacity = 1 << 14;
-    capture::CaptureEngine engine(cfg);
-    std::uint64_t consumed_bytes = 0;
-    engine.add_sink([&](const capture::TaggedPacket& t) {
-      consumed_bytes += t.pkt.size();
-    });
-    auto frames = make_imix(8192, 3);
-    constexpr std::size_t kCount = 200'000;
-    state.ResumeTiming();
-
-    std::thread consumer([&] {
-      std::uint64_t seen = 0;
-      while (seen < kCount) {
-        const auto n = engine.poll(512);
-        seen += n;
-        if (n == 0) std::this_thread::yield();
-      }
-    });
-    for (std::size_t i = 0; i < kCount;) {
-      if (engine.offer(frames[i & 8191], sim::Direction::kInbound)) ++i;
-    }
-    consumer.join();
-    benchmark::DoNotOptimize(consumed_bytes);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          200'000);
-}
-BENCHMARK(BM_TwoThreadCapture)->Unit(benchmark::kMillisecond);
 
 void BM_ShardedCapture(benchmark::State& state) {
   // Sustained rate with one producer and N shard workers; the producer
@@ -136,7 +105,7 @@ void BM_ShardedCapture(benchmark::State& state) {
     capture::ShardedCaptureEngine engine(cfg);
     std::vector<std::uint64_t> consumed_bytes(shards, 0);
     engine.add_sink_factory([&](std::size_t s) {
-      return [&consumed_bytes, s](const capture::TaggedPacket& t) {
+      return [&consumed_bytes, s](const capture::DecodedPacket& t) {
         consumed_bytes[s] += t.pkt.size();
       };
     });
@@ -174,10 +143,10 @@ void print_loss_table() {
   for (const double gbps : gbps_points) {
     std::printf("%5.0f Gbps     ", gbps);
     for (const auto ring_cap : rings) {
-      capture::CaptureConfig cfg;
-      cfg.ring_capacity = ring_cap;
-      capture::CaptureEngine engine(cfg);
-      engine.add_sink([](const capture::TaggedPacket&) {});
+      capture::ShardedCaptureEngine engine(
+          {.shards = 1, .ring_capacity = ring_cap});
+      engine.add_sink_factory(
+          [](std::size_t) { return [](const capture::DecodedPacket&) {}; });
       auto frames = make_imix(4096, 7);
 
       // Virtual-time pacing: mean frame 454B -> arrivals at `gbps`;
@@ -196,7 +165,7 @@ void print_loss_table() {
       for (std::size_t i = 0; i < kPackets; ++i) {
         now += rng.exponential(1.0 / arrival_pps);
         while (now >= next_drain) {
-          engine.poll(drain_per_burst);
+          engine.poll_shard(0, drain_per_burst);
           next_drain += burst_interval_s;
         }
         engine.offer(frames[i & 4095], sim::Direction::kInbound);
@@ -238,7 +207,7 @@ void print_sharded_loss_table() {
       cfg.ring_capacity = 1 << 14;
       capture::ShardedCaptureEngine engine(cfg);
       engine.add_sink_factory(
-          [](std::size_t) { return [](const capture::TaggedPacket&) {}; });
+          [](std::size_t) { return [](const capture::DecodedPacket&) {}; });
       auto frames = make_imix(4096, 11);
 
       const double mean_frame_bits = 454 * 8;
@@ -313,12 +282,13 @@ void print_allocation_table() {
   constexpr std::size_t kCount = 400'000;
 
   const auto run = [&](const char* name, bool legacy_deep_copy) {
-    capture::CaptureConfig cfg;
-    cfg.ring_capacity = 1 << 14;
-    capture::CaptureEngine engine(cfg);
+    capture::ShardedCaptureEngine engine(
+        {.shards = 1, .ring_capacity = 1 << 14});
     std::uint64_t sink_bytes = 0;
-    engine.add_sink([&](const capture::TaggedPacket& t) {
-      sink_bytes += t.pkt.size();
+    engine.add_sink_factory([&](std::size_t) {
+      return [&](const capture::DecodedPacket& t) {
+        sink_bytes += t.pkt.size();
+      };
     });
     const auto before = pool.stats();
     for (std::size_t i = 0; i < kCount; ++i) {
@@ -330,7 +300,7 @@ void print_allocation_table() {
       } else {
         engine.offer(frames[i & 4095], sim::Direction::kInbound);
       }
-      if ((i & 63) == 0) engine.poll(64);
+      if ((i & 63) == 0) engine.poll_shard(0, 64);
     }
     engine.drain();
     benchmark::DoNotOptimize(sink_bytes);
@@ -385,7 +355,7 @@ void print_stage_latency_table() {
   for (std::size_t s = 0; s < kShards; ++s)
     meters.push_back(std::make_unique<capture::FlowMeter>());
   engine.add_sink_factory([&](std::size_t s) {
-    return [meter = meters[s].get()](const capture::TaggedPacket& t) {
+    return [meter = meters[s].get()](const capture::DecodedPacket& t) {
       meter->offer(t.pkt, t.view, t.dir);
     };
   });
@@ -431,7 +401,7 @@ void print_obs_overhead_table() {
     for (std::size_t s = 0; s < kShards; ++s)
       meters.push_back(std::make_unique<capture::FlowMeter>());
     engine.add_sink_factory([&](std::size_t s) {
-      return [meter = meters[s].get()](const capture::TaggedPacket& t) {
+      return [meter = meters[s].get()](const capture::DecodedPacket& t) {
         meter->offer(t.pkt, t.view, t.dir);
       };
     });
@@ -508,7 +478,7 @@ void print_fault_recovery_table() {
     cfg.max_worker_restarts = 64;
     capture::ShardedCaptureEngine engine(cfg);
     engine.add_sink_factory([&](std::size_t s) {
-      return [&delivered_per_shard, s](const capture::TaggedPacket&) {
+      return [&delivered_per_shard, s](const capture::DecodedPacket&) {
         ++delivered_per_shard[s];
       };
     });
@@ -577,7 +547,7 @@ void print_fault_recovery_table() {
     for (std::size_t s = 0; s < kShards; ++s)
       meters.push_back(std::make_unique<capture::FlowMeter>());
     engine.add_sink_factory([&](std::size_t s) {
-      return [meter = meters[s].get()](const capture::TaggedPacket& t) {
+      return [meter = meters[s].get()](const capture::DecodedPacket& t) {
         meter->offer(t.pkt, t.view, t.dir);
       };
     });

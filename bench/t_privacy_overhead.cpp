@@ -65,7 +65,7 @@ void BM_PayloadPolicyApply(benchmark::State& state) {
       static_cast<std::uint16_t>(state.range(0)), 1200);
   for (auto _ : state) {
     packet::Packet copy = original;
-    policy.apply(copy, 42);
+    policy.apply(copy, packet::PacketView(copy), 42);
     benchmark::DoNotOptimize(copy);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

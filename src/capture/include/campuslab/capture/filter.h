@@ -34,12 +34,9 @@ class FilterExpr {
   /// Compile a filter string. Errors carry position + expectation.
   static Result<FilterExpr> parse(const std::string& text);
 
-  /// Evaluate against one frame. Non-IPv4 frames match only pure
-  /// size predicates ("less"/"greater") and negations thereof.
+  /// Evaluate against one decoded frame. Non-IPv4 frames match only
+  /// pure size predicates ("less"/"greater") and negations thereof.
   bool matches(const packet::PacketView& view) const;
-  bool matches(const packet::Packet& pkt) const {
-    return matches(packet::PacketView(pkt));
-  }
 
   const std::string& source() const noexcept { return source_; }
 

@@ -93,15 +93,10 @@ class FlowMeter {
   /// skipped. Eviction checks run opportunistically against the
   /// packet's timestamp (virtual time).
   ///
-  /// The three-argument form is the parse-once path: `view` must be a
-  /// decode of `pkt`'s bytes (DecodedPacket guarantees this). The
-  /// two-argument form re-parses and exists for callers outside the
-  /// capture pipeline; both run the identical update.
+  /// Parse-once: `view` must be a decode of `pkt`'s bytes
+  /// (DecodedPacket guarantees this); the meter never re-parses.
   void offer(const packet::Packet& pkt, const packet::PacketView& view,
              sim::Direction dir);
-  void offer(const packet::Packet& pkt, sim::Direction dir) {
-    offer(pkt, packet::PacketView(pkt), dir);
-  }
   void offer(const DecodedPacket& decoded) {
     offer(decoded.pkt, decoded.view, decoded.dir);
   }

@@ -1,15 +1,24 @@
-// ShardedCaptureEngine — the multi-worker lossless capture pipeline.
+// ShardedCaptureEngine — the lossless full-packet-capture pipeline.
+//
+// Mirrors the architecture of the commercial systems the paper cites
+// (§5, NIKSUN-style): a tap pushes every frame into bounded lock-free
+// rings; consumers drain the rings in batches and dispatch to sinks
+// (pcap segments, the flow meter, the data store ingester).
+// "Losslessness" is not asserted but *measured*: any frame that finds
+// its ring full increments a drop counter, and the T-CAP experiment
+// reports the offered-load knee where drops begin.
 //
 // One tap thread cannot meter and ingest 10-20 Gbps of campus traffic,
-// let alone the paper's "up to 100 Gbps" (§5). This engine spreads the
+// let alone the paper's "up to 100 Gbps" (§5). The engine spreads the
 // tap across N single-producer/single-consumer rings with an RSS-style
 // 5-tuple hash: both directions of a conversation hash to the same
 // shard (the spreader keys on the bidirectional tuple), so each worker
 // can run its own FlowMeter and data-store ingester with no locks and
-// no cross-shard flow state.
+// no cross-shard flow state. With shards = 1 it is the plain
+// single-ring engine: one ring, one consumer, every frame in order.
 //
 //        tap (1 producer thread)
-//              |  shard_of(pkt) = h(bidirectional 5-tuple) % N
+//              |  shard_of(view) = h(bidirectional 5-tuple) % N
 //      +-------+-------+ ... +
 //      v       v       v
 //   ring[0] ring[1] ring[N-1]      bounded SpscRings
@@ -27,7 +36,8 @@
 //   - Between start() and stop(), each shard's ring is drained only by
 //     its own worker; per-shard sinks run on that worker's thread.
 //   - Without start(), poll_shard()/drain() consume on the caller's
-//     thread (simulation mode — used by the determinism regression).
+//     thread (simulation mode: the Testbed runs one shard this way,
+//     offer() then poll_shard(0, 64) inside the tap callback).
 //   - stats()/shard_stats() are safe from any thread, any time.
 //
 // Supervision (resilience): each worker thread runs under an in-thread
@@ -52,11 +62,125 @@
 #include <thread>
 #include <vector>
 
-#include "campuslab/capture/engine.h"
+#include "campuslab/capture/decoded.h"
+#include "campuslab/capture/spsc_ring.h"
 #include "campuslab/obs/registry.h"
+#include "campuslab/packet/buffer.h"
 #include "campuslab/util/time.h"
 
 namespace campuslab::capture {
+
+/// A point-in-time snapshot of capture accounting. Produced by
+/// ConcurrentCaptureStats::snapshot(); plain integers, freely copyable.
+struct CaptureStats {
+  std::uint64_t offered = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t dropped = 0;   // ring-full losses
+  std::uint64_t consumed = 0;
+  /// Of `consumed`, frames consumed during the shutdown drain (after
+  /// stop was requested). drained_on_stop <= consumed.
+  std::uint64_t drained_on_stop = 0;
+  /// Accepted frames discarded unconsumed: the bounded shutdown drain
+  /// hit its deadline (wedged sink) or the shard was quarantined.
+  /// Quiesced identity: accepted == consumed + abandoned.
+  std::uint64_t abandoned = 0;
+  std::uint64_t offered_bytes = 0;
+  std::uint64_t dropped_bytes = 0;
+
+  /// Gauge snapshot of the process-wide packet buffer pool at stats()
+  /// time. Every engine draws from the same pool, so operator+= keeps
+  /// the left-hand side's snapshot instead of summing (summing would
+  /// double-count the shared pool).
+  packet::BufferPoolStats buffer_pool;
+
+  double loss_rate() const noexcept {
+    return offered == 0 ? 0.0
+                        : static_cast<double>(dropped) /
+                              static_cast<double>(offered);
+  }
+
+  CaptureStats& operator+=(const CaptureStats& o) noexcept {
+    offered += o.offered;
+    accepted += o.accepted;
+    dropped += o.dropped;
+    consumed += o.consumed;
+    drained_on_stop += o.drained_on_stop;
+    abandoned += o.abandoned;
+    offered_bytes += o.offered_bytes;
+    dropped_bytes += o.dropped_bytes;
+    return *this;
+  }
+};
+
+/// Capture counters that are safe to sample from any thread while the
+/// producer and consumer run. Producer-side counters (offered /
+/// accepted / dropped / byte totals) and the consumer-side counter
+/// (consumed) live on separate cache lines so neither side's increments
+/// bounce the other's line.
+///
+/// snapshot() guarantees, even mid-flight:
+///   consumed <= offered          and
+///   accepted + dropped <= offered
+/// It reads consumed first and offered last (acquire), and the writers
+/// publish `offered` before the matching accepted/dropped increment
+/// (release), so a sampled snapshot can never show an effect before its
+/// cause. Exact equalities (offered == accepted + dropped,
+/// accepted == consumed) hold once both sides have quiesced.
+class ConcurrentCaptureStats {
+ public:
+  void record_offer(std::uint64_t bytes) noexcept {
+    offered_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    offered_.fetch_add(1, std::memory_order_release);
+  }
+  void record_accept() noexcept {
+    accepted_.fetch_add(1, std::memory_order_release);
+  }
+  void record_drop(std::uint64_t bytes) noexcept {
+    dropped_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    dropped_.fetch_add(1, std::memory_order_release);
+  }
+  void record_consumed(std::uint64_t n) noexcept {
+    consumed_.fetch_add(n, std::memory_order_release);
+  }
+  /// Shutdown-drain accounting (consumer side): `drained` frames were
+  /// consumed after stop was requested (a sub-count of consumed);
+  /// `abandoned` frames were discarded unconsumed (deadline expiry or
+  /// shard quarantine).
+  void record_drained(std::uint64_t n) noexcept {
+    drained_.fetch_add(n, std::memory_order_release);
+  }
+  void record_abandoned(std::uint64_t n) noexcept {
+    abandoned_.fetch_add(n, std::memory_order_release);
+  }
+
+  CaptureStats snapshot() const noexcept {
+    CaptureStats s;
+    // Order matters: consumed before accepted/dropped before offered,
+    // so the documented inequalities hold for live samples.
+    // drained is recorded after the consumed frames it sub-counts, so
+    // read it before consumed (effect before cause keeps drained <=
+    // consumed in live samples).
+    s.drained_on_stop = drained_.load(std::memory_order_acquire);
+    s.consumed = consumed_.load(std::memory_order_acquire);
+    s.abandoned = abandoned_.load(std::memory_order_acquire);
+    s.accepted = accepted_.load(std::memory_order_acquire);
+    s.dropped = dropped_.load(std::memory_order_acquire);
+    s.dropped_bytes = dropped_bytes_.load(std::memory_order_acquire);
+    s.offered = offered_.load(std::memory_order_acquire);
+    s.offered_bytes = offered_bytes_.load(std::memory_order_acquire);
+    return s;
+  }
+
+ private:
+  alignas(64) std::atomic<std::uint64_t> offered_{0};
+  std::atomic<std::uint64_t> accepted_{0};
+  std::atomic<std::uint64_t> dropped_{0};
+  std::atomic<std::uint64_t> offered_bytes_{0};
+  std::atomic<std::uint64_t> dropped_bytes_{0};
+  alignas(64) std::atomic<std::uint64_t> consumed_{0};
+  std::atomic<std::uint64_t> drained_{0};
+  std::atomic<std::uint64_t> abandoned_{0};
+};
 
 struct ShardedCaptureConfig {
   std::size_t shards = 4;
@@ -74,7 +198,7 @@ struct ShardedCaptureConfig {
 
 class ShardedCaptureEngine {
  public:
-  using Sink = CaptureEngine::Sink;
+  using Sink = std::function<void(const DecodedPacket&)>;
   /// Builds the per-shard consumer: called once per shard so each
   /// worker gets its own (unshared) flow meter / ingester state.
   using SinkFactory = std::function<Sink(std::size_t shard)>;
@@ -97,9 +221,6 @@ class ShardedCaptureEngine {
   /// truncated) spread by a byte hash of the frame prefix instead of
   /// all pinning shard 0, so non-IP load cannot hot-spot one worker.
   std::size_t shard_of(const packet::PacketView& view) const noexcept;
-  std::size_t shard_of(const packet::Packet& pkt) const noexcept {
-    return shard_of(packet::PacketView(pkt));
-  }
 
   /// Producer side: hash-spread one frame. Returns false when the
   /// owning shard's ring was full and the frame was dropped (counted
@@ -150,7 +271,7 @@ class ShardedCaptureEngine {
  private:
   struct Shard {
     explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
-    SpscRing<TaggedPacket> ring;
+    SpscRing<DecodedPacket> ring;
     std::vector<Sink> sinks;
     ConcurrentCaptureStats stats;
     std::thread worker;

@@ -157,7 +157,7 @@ std::size_t ShardedCaptureEngine::consume_batch(Shard& shard,
                                                 std::size_t max_batch) {
   auto& metrics = ShardedMetrics::get();
   std::size_t consumed = 0;
-  TaggedPacket tagged;
+  DecodedPacket tagged;
   try {
     while (consumed < max_batch) {
       bool popped;
@@ -241,7 +241,7 @@ void ShardedCaptureEngine::worker_loop(Shard& shard) {
 }
 
 void ShardedCaptureEngine::abandon_ring(Shard& shard) {
-  TaggedPacket tagged;
+  DecodedPacket tagged;
   std::uint64_t n = 0;
   while (shard.ring.try_pop(tagged)) ++n;
   if (n > 0) {

@@ -30,8 +30,10 @@ Result<std::unique_ptr<FastLoop>> FastLoop::deploy(
 }
 
 void FastLoop::install(sim::CampusNetwork& network) {
-  network.set_ingress_filter(
-      [this](const packet::Packet& pkt) { return inspect(pkt); });
+  // The ingress filter is where the frame enters: decode it here, once.
+  network.set_ingress_filter([this](const packet::Packet& pkt) {
+    return inspect(pkt, packet::PacketView(pkt));
+  });
 }
 
 bool FastLoop::inspect(const packet::Packet& pkt,
@@ -102,7 +104,9 @@ bool FastLoop::inspect(const packet::Packet& pkt,
 void ModelHandle::install(sim::CampusNetwork& network) {
   network.set_ingress_filter([this](const packet::Packet& pkt) {
     auto snap = acquire();
-    return snap && snap->loop ? snap->loop->inspect(pkt) : false;
+    return snap && snap->loop
+               ? snap->loop->inspect(pkt, packet::PacketView(pkt))
+               : false;
   });
 }
 

@@ -62,12 +62,9 @@ class FastLoop {
   void install(sim::CampusNetwork& network);
 
   /// Decide one packet: true = drop. Exposed for canary/testing use.
-  /// The view-taking form is the parse-once path: `view` must be a
-  /// decode of `pkt`'s bytes; the one-argument form re-parses.
+  /// Parse-once: `view` must be a decode of `pkt`'s bytes, made once
+  /// where the frame enters (the installed ingress filter does it).
   bool inspect(const packet::Packet& pkt, const packet::PacketView& view);
-  bool inspect(const packet::Packet& pkt) {
-    return inspect(pkt, packet::PacketView(pkt));
-  }
 
   /// Optional degradation hook: every inspect() asks the controller
   /// about kFastLoopVerdict — which is structurally never shed — so the

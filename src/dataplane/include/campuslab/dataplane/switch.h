@@ -35,22 +35,14 @@ class SoftwareSwitch {
                  features::PacketFeatureConfig feature_config = {});
 
   /// Classify one packet (updates register state; packets must arrive
-  /// in timestamp order). Non-IPv4 frames yield {0, 0}. The view-taking
-  /// forms are the parse-once path: `view` must decode `pkt`'s bytes;
-  /// the two-argument forms re-parse.
+  /// in timestamp order). Non-IPv4 frames yield {0, 0}. Parse-once:
+  /// `view` must decode `pkt`'s bytes.
   Verdict process(const packet::Packet& pkt,
                   const packet::PacketView& view, sim::Direction dir);
-  Verdict process(const packet::Packet& pkt, sim::Direction dir) {
-    return process(pkt, packet::PacketView(pkt), dir);
-  }
 
   /// Ingress-filter decision: true = drop.
   bool filter(const packet::Packet& pkt, const packet::PacketView& view,
               sim::Direction dir, const FilterPolicy& policy);
-  bool filter(const packet::Packet& pkt, sim::Direction dir,
-              const FilterPolicy& policy) {
-    return filter(pkt, packet::PacketView(pkt), dir, policy);
-  }
 
   const SwitchStats& stats() const noexcept { return stats_; }
   const CompiledClassifier& program() const noexcept { return *program_; }

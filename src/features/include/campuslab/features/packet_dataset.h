@@ -34,13 +34,10 @@ class PacketDatasetCollector {
 
   /// Feed every captured packet (timestamp order). Only inbound IPv4
   /// packets produce rows — the ingress pipeline's scope — but state
-  /// updates still happen for all of them. The three-argument form is
-  /// the parse-once path: `view` must be a decode of `pkt`'s bytes.
+  /// updates still happen for all of them. Parse-once: `view` must be
+  /// a decode of `pkt`'s bytes.
   void offer(const packet::Packet& pkt, const packet::PacketView& view,
              sim::Direction dir);
-  void offer(const packet::Packet& pkt, sim::Direction dir) {
-    offer(pkt, packet::PacketView(pkt), dir);
-  }
 
   const ml::Dataset& dataset() const noexcept { return dataset_; }
 

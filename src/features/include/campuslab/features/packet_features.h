@@ -61,17 +61,11 @@ class StatefulFeatureExtractor {
 
   /// Extract the feature vector for one packet, updating register
   /// state. Must be fed packets in timestamp order. Returns an empty
-  /// vector for non-IPv4 frames.
-  ///
-  /// The three-argument form is the parse-once path: `view` must be a
-  /// decode of `pkt`'s bytes. The two-argument form re-parses.
+  /// vector for non-IPv4 frames. Parse-once: `view` must be a decode
+  /// of `pkt`'s bytes.
   std::vector<double> extract(const packet::Packet& pkt,
                               const packet::PacketView& view,
                               sim::Direction dir);
-  std::vector<double> extract(const packet::Packet& pkt,
-                              sim::Direction dir) {
-    return extract(pkt, packet::PacketView(pkt), dir);
-  }
 
   std::size_t tracked_dsts() const noexcept { return dst_state_.size(); }
   std::size_t tracked_srcs() const noexcept { return src_state_.size(); }

@@ -51,15 +51,11 @@ class PayloadPolicy {
   /// stored frame are NOT recomputed — the stored artifact records what
   /// was on the wire with the payload redacted, like a snaplen capture.
   ///
-  /// The view-taking form is the parse-once path: `view` must decode
-  /// `pkt`'s current bytes (a buffer-sharing copy of the viewed packet
-  /// qualifies — redaction then mutates copy-on-write). The two-
-  /// argument form re-parses.
+  /// Parse-once: `view` must decode `pkt`'s current bytes (a
+  /// buffer-sharing copy of the viewed packet qualifies — redaction
+  /// then mutates copy-on-write).
   void apply(packet::Packet& pkt, const packet::PacketView& view,
              std::uint64_t hash_key) const;
-  void apply(packet::Packet& pkt, std::uint64_t hash_key) const {
-    apply(pkt, packet::PacketView(pkt), hash_key);
-  }
 
  private:
   struct Rule {

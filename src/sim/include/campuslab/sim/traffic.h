@@ -15,8 +15,8 @@
 //   mail       SMTP in and out of the campus mail server
 //   bulk       research-data / backup transfers from the storage server
 //
-// All generated packets are labelled kBenign; attacks (attacks.h) are
-// the only source of other labels.
+// All generated packets are labelled kBenign; attack scenarios
+// (scenario.h) are the only source of other labels.
 #pragma once
 
 #include <array>

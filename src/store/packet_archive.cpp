@@ -98,7 +98,9 @@ Result<std::vector<packet::Packet>> PacketArchive::read_filtered(
   if (!all.ok()) return all;
   std::vector<packet::Packet> out;
   for (auto& pkt : all.value()) {
-    if (filter.matches(pkt)) out.push_back(std::move(pkt));
+    // The archive reader is where a stored frame re-enters: decode here.
+    if (filter.matches(packet::PacketView(pkt)))
+      out.push_back(std::move(pkt));
   }
   return out;
 }

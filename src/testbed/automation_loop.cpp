@@ -115,7 +115,7 @@ Status AutomationLoop::start() {
   handle_.install(testbed_->network());
   // One permanent tee to whichever canary is live; sinks cannot be
   // removed, so cycles must not each register their own.
-  testbed_->add_observer([this](const capture::TaggedPacket& tagged) {
+  testbed_->add_observer([this](const capture::DecodedPacket& tagged) {
     if (canary_) canary_->observe(tagged.pkt, tagged.view, tagged.dir);
   });
   started_ = true;

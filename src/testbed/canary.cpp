@@ -28,7 +28,7 @@ Result<std::unique_ptr<CanaryDeployment>> CanaryDeployment::create(
 }
 
 void CanaryDeployment::attach(Testbed& testbed) {
-  testbed.add_observer([this](const capture::TaggedPacket& tagged) {
+  testbed.add_observer([this](const capture::DecodedPacket& tagged) {
     observe(tagged.pkt, tagged.view, tagged.dir);
   });
 }

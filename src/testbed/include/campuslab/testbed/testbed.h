@@ -1,20 +1,21 @@
 // Testbed — the campus network operated "as a lab" (§4).
 //
 // Wires the full dual-role pipeline into one harness: the simulated
-// campus (traffic + attacks) feeds the capture engine at the border
-// tap; the flow meter populates the data store; the packet dataset
-// collector accumulates deployable-model training data. Road-testing a
-// model is then: run() to gather data, DevelopmentLoop to build the
-// package, CanaryDeployment to score it passively, FastLoop +
-// SafetyMonitor to enforce it — all against the same live network.
+// campus (traffic + attacks) feeds a one-shard capture engine at the
+// border tap, consumed inline on the simulation thread; the flow meter
+// populates the data store; the packet dataset collector accumulates
+// deployable-model training data. Road-testing a model is then: run()
+// to gather data, DevelopmentLoop to build the package,
+// CanaryDeployment to score it passively, FastLoop + SafetyMonitor to
+// enforce it — all against the same live network.
 #pragma once
 
 #include <memory>
 
 #include <optional>
 
-#include "campuslab/capture/engine.h"
 #include "campuslab/capture/flow.h"
+#include "campuslab/capture/sharded_engine.h"
 #include "campuslab/features/packet_dataset.h"
 #include "campuslab/privacy/policy.h"
 #include "campuslab/sim/simulator.h"
@@ -29,7 +30,6 @@ struct TestbedConfig {
   features::PacketDatasetOptions collector;
   capture::FlowMeterConfig flow_meter;
   store::DataStoreConfig store;
-  capture::CaptureConfig capture;
   /// When set, raw packets are archived as rotating pcap segments in
   /// this (existing) directory, after the payload policy is applied at
   /// collection time — §5's "what form data is stored in" control.
@@ -55,7 +55,7 @@ class Testbed {
   sim::CampusSimulator& simulator() noexcept { return *simulator_; }
   sim::CampusNetwork& network() noexcept { return simulator_->network(); }
   store::DataStore& store() noexcept { return store_; }
-  const capture::CaptureEngine& capture_engine() const noexcept {
+  const capture::ShardedCaptureEngine& capture_engine() const noexcept {
     return engine_;
   }
   const capture::FlowMeter& flow_meter() const noexcept { return meter_; }
@@ -72,8 +72,8 @@ class Testbed {
   }
 
   /// Register an extra consumer of captured packets (e.g. a canary).
-  void add_observer(capture::CaptureEngine::Sink sink) {
-    engine_.add_sink(std::move(sink));
+  void add_observer(const capture::ShardedCaptureEngine::Sink& sink) {
+    engine_.add_sink_factory([&sink](std::size_t) { return sink; });
   }
 
   /// Flush in-flight flows into the store and return the collected
@@ -90,7 +90,7 @@ class Testbed {
  private:
   TestbedConfig config_;
   std::unique_ptr<sim::CampusSimulator> simulator_;
-  capture::CaptureEngine engine_;
+  capture::ShardedCaptureEngine engine_;
   capture::FlowMeter meter_;
   store::DataStore store_;
   features::PacketDatasetCollector collector_;

@@ -24,7 +24,7 @@ bool SensorEmulator::port_served(packet::Ipv4Address dst,
   return false;
 }
 
-void SensorEmulator::observe(const capture::TaggedPacket& tagged) {
+void SensorEmulator::observe(const capture::DecodedPacket& tagged) {
   const auto& pkt = tagged.pkt;
 
   // Routine infrastructure hum, driven by the virtual clock.

@@ -3,14 +3,14 @@
 namespace campuslab::testbed {
 
 Testbed::Testbed(TestbedConfig config)
-    : config_(config), engine_(config.capture), meter_(config.flow_meter),
+    : config_(config), engine_({.shards = 1}), meter_(config.flow_meter),
       store_(config.store), collector_(config.collector) {
   simulator_ = std::make_unique<sim::CampusSimulator>(config_.scenario);
 
   meter_.set_sink([this](const capture::FlowRecord& flow) {
     store_.ingest(flow);
   });
-  engine_.add_sink([this](const capture::TaggedPacket& tagged) {
+  add_observer([this](const capture::DecodedPacket& tagged) {
     // Parse-once: both consumers read the decode cached at the tap.
     meter_.offer(tagged);
     collector_.offer(tagged.pkt, tagged.view, tagged.dir);
@@ -18,7 +18,7 @@ Testbed::Testbed(TestbedConfig config)
   if (config_.enable_sensors) {
     sensors_.emplace(config_.sensors, store_,
                      simulator_->network().topology());
-    engine_.add_sink([this](const capture::TaggedPacket& tagged) {
+    add_observer([this](const capture::DecodedPacket& tagged) {
       sensors_->observe(tagged);
     });
   }
@@ -29,7 +29,7 @@ Testbed::Testbed(TestbedConfig config)
     auto archive = store::PacketArchive::open(acfg);
     if (archive.ok()) {
       archive_.emplace(std::move(archive).value());
-      engine_.add_sink([this](const capture::TaggedPacket& tagged) {
+      add_observer([this](const capture::DecodedPacket& tagged) {
         // Collection-side privacy: the payload policy decides what form
         // the raw bytes are stored in. The copy is a refcount bump;
         // redaction mutates it copy-on-write, so the shared buffer the
@@ -44,7 +44,7 @@ Testbed::Testbed(TestbedConfig config)
   simulator_->network().set_tap(
       [this](const packet::Packet& pkt, sim::Direction dir) {
         engine_.offer(pkt, dir);
-        engine_.poll(64);  // inline consumption: same-thread capture
+        engine_.poll_shard(0, 64);  // inline: same-thread capture
       });
 }
 

@@ -1,6 +1,7 @@
 // Tests for campuslab::capture — SPSC ring correctness (including a
 // two-thread stress test), pcap write/read round-trips, flow metering
-// semantics, and the capture engine's drop accounting.
+// semantics, and the one-shard capture engine's in-order delivery and
+// drop accounting.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,9 +10,9 @@
 #include <thread>
 #include <unistd.h>
 
-#include "campuslab/capture/engine.h"
 #include "campuslab/capture/flow.h"
 #include "campuslab/capture/pcap.h"
+#include "campuslab/capture/sharded_engine.h"
 #include "campuslab/capture/spsc_ring.h"
 #include "campuslab/sim/simulator.h"
 
@@ -207,19 +208,19 @@ TEST(FlowMeter, AggregatesBidirectionalFlow) {
   const auto a = ep(1, Ipv4Address(10, 0, 16, 2), 5555);
   const auto b = ep(2, Ipv4Address(1, 2, 3, 4), 80);
   // Forward SYN, reverse SYN-ACK, forward ACK + data.
-  meter.offer(PacketBuilder(Timestamp::from_seconds(1.0))
-                  .tcp(a, b, TcpFlags::kSyn)
-                  .build(),
-              Direction::kOutbound);
-  meter.offer(PacketBuilder(Timestamp::from_seconds(1.05))
-                  .tcp(b, a, TcpFlags::kSyn | TcpFlags::kAck)
-                  .build(),
-              Direction::kInbound);
-  meter.offer(PacketBuilder(Timestamp::from_seconds(1.1))
-                  .tcp(a, b, TcpFlags::kAck | TcpFlags::kPsh)
-                  .payload_size(500)
-                  .build(),
-              Direction::kOutbound);
+  meter.offer({PacketBuilder(Timestamp::from_seconds(1.0))
+                   .tcp(a, b, TcpFlags::kSyn)
+                   .build(),
+               Direction::kOutbound});
+  meter.offer({PacketBuilder(Timestamp::from_seconds(1.05))
+                   .tcp(b, a, TcpFlags::kSyn | TcpFlags::kAck)
+                   .build(),
+               Direction::kInbound});
+  meter.offer({PacketBuilder(Timestamp::from_seconds(1.1))
+                   .tcp(a, b, TcpFlags::kAck | TcpFlags::kPsh)
+                   .payload_size(500)
+                   .build(),
+               Direction::kOutbound});
   EXPECT_EQ(meter.active_flows(), 1u);
   meter.flush();
   ASSERT_EQ(records.size(), 1u);
@@ -243,8 +244,8 @@ TEST(FlowMeter, IdleTimeoutEvicts) {
   std::vector<FlowRecord> records;
   meter.set_sink([&](const FlowRecord& r) { records.push_back(r); });
 
-  meter.offer(make_udp(1.0), Direction::kOutbound);
-  meter.offer(make_udp(1.5), Direction::kOutbound);
+  meter.offer({make_udp(1.0), Direction::kOutbound});
+  meter.offer({make_udp(1.5), Direction::kOutbound});
   EXPECT_EQ(meter.active_flows(), 1u);
   meter.sweep(Timestamp::from_seconds(4.0));
   EXPECT_EQ(meter.active_flows(), 0u);
@@ -262,7 +263,7 @@ TEST(FlowMeter, ActiveTimeoutSplitsLongFlow) {
   meter.set_sink([&](const FlowRecord& r) { records.push_back(r); });
 
   for (int i = 0; i <= 25; ++i)
-    meter.offer(make_udp(1.0 * i), Direction::kOutbound);
+    meter.offer({make_udp(1.0 * i), Direction::kOutbound});
   meter.flush();
   // 26 packets over 25s with a 10s active timeout -> >= 2 records.
   EXPECT_GE(records.size(), 2u);
@@ -274,8 +275,8 @@ TEST(FlowMeter, ActiveTimeoutSplitsLongFlow) {
 TEST(FlowMeter, DistinctTuplesDistinctFlows) {
   FlowMeter meter;
   for (int i = 0; i < 10; ++i)
-    meter.offer(make_udp(1.0, static_cast<std::uint16_t>(1000 + i)),
-                Direction::kOutbound);
+    meter.offer({make_udp(1.0, static_cast<std::uint16_t>(1000 + i)),
+                 Direction::kOutbound});
   EXPECT_EQ(meter.active_flows(), 10u);
   EXPECT_EQ(meter.stats().flows_created, 10u);
 }
@@ -284,12 +285,12 @@ TEST(FlowMeter, MajorityLabelAndDnsFlag) {
   FlowMeter meter;
   std::vector<FlowRecord> records;
   meter.set_sink([&](const FlowRecord& r) { records.push_back(r); });
-  meter.offer(make_udp(1.0, 2000, 53, 64, TrafficLabel::kDnsAmplification),
-              Direction::kInbound);
-  meter.offer(make_udp(1.1, 2000, 53, 64, TrafficLabel::kDnsAmplification),
-              Direction::kInbound);
-  meter.offer(make_udp(1.2, 2000, 53, 64, TrafficLabel::kBenign),
-              Direction::kInbound);
+  meter.offer({make_udp(1.0, 2000, 53, 64, TrafficLabel::kDnsAmplification),
+               Direction::kInbound});
+  meter.offer({make_udp(1.1, 2000, 53, 64, TrafficLabel::kDnsAmplification),
+               Direction::kInbound});
+  meter.offer({make_udp(1.2, 2000, 53, 64, TrafficLabel::kBenign),
+               Direction::kInbound});
   meter.flush();
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].majority_label(), TrafficLabel::kDnsAmplification);
@@ -322,8 +323,9 @@ TEST(FlowMeter, CapacityCapEvictsIdlest) {
   std::vector<FlowRecord> records;
   meter.set_sink([&](const FlowRecord& r) { records.push_back(r); });
   for (int i = 0; i < 8; ++i)
-    meter.offer(make_udp(1.0 + 0.1 * i, static_cast<std::uint16_t>(1000 + i)),
-                Direction::kOutbound);
+    meter.offer(
+        {make_udp(1.0 + 0.1 * i, static_cast<std::uint16_t>(1000 + i)),
+         Direction::kOutbound});
   EXPECT_LE(meter.active_flows(), 5u);
   EXPECT_EQ(meter.stats().flows_evicted_capacity, 3u);
   // Sampled eviction: evicted entries are real completed flows.
@@ -357,8 +359,8 @@ TEST(FlowMeterProperty, PacketConservation) {
         static_cast<std::uint16_t>(rng.chance(0.5) ? 53 : 443),
         rng.below(800));
     offered_bytes += pkt.size();
-    meter.offer(pkt, rng.chance(0.5) ? Direction::kInbound
-                                     : Direction::kOutbound);
+    meter.offer({pkt, rng.chance(0.5) ? Direction::kInbound
+                                      : Direction::kOutbound});
   }
   meter.flush();
   EXPECT_EQ(recorded_packets, static_cast<std::uint64_t>(kPackets));
@@ -372,23 +374,25 @@ TEST(FlowMeter, NonIpCounted) {
   packet::Packet junk;
   junk.ts = Timestamp::from_seconds(1);
   junk.assign(60, 0xEE);
-  meter.offer(junk, Direction::kInbound);
+  meter.offer({junk, Direction::kInbound});
   EXPECT_EQ(meter.stats().non_ip_packets, 1u);
   EXPECT_EQ(meter.active_flows(), 0u);
 }
 
-// --------------------------------------------------------- CaptureEngine
+// ------------------------------------------------- one-shard capture
 
-TEST(CaptureEngine, DeliversToAllSinksInOrder) {
-  CaptureEngine engine;
+TEST(SingleShardCapture, DeliversToAllSinksInOrder) {
+  ShardedCaptureEngine engine({.shards = 1});
   std::vector<std::uint16_t> seen_a, seen_b;
-  engine.add_sink([&](const TaggedPacket& t) {
-    packet::PacketView v(t.pkt);
-    seen_a.push_back(v.five_tuple()->src_port);
+  engine.add_sink_factory([&](std::size_t) {
+    return [&](const DecodedPacket& t) {
+      seen_a.push_back(t.view.five_tuple()->src_port);
+    };
   });
-  engine.add_sink([&](const TaggedPacket& t) {
-    packet::PacketView v(t.pkt);
-    seen_b.push_back(v.five_tuple()->src_port);
+  engine.add_sink_factory([&](std::size_t) {
+    return [&](const DecodedPacket& t) {
+      seen_b.push_back(t.view.five_tuple()->src_port);
+    };
   });
   for (int i = 0; i < 20; ++i)
     engine.offer(make_udp(0.01 * i, static_cast<std::uint16_t>(3000 + i)),
@@ -400,10 +404,8 @@ TEST(CaptureEngine, DeliversToAllSinksInOrder) {
     EXPECT_EQ(seen_a[static_cast<std::size_t>(i)], 3000 + i);
 }
 
-TEST(CaptureEngine, DropsWhenRingFullAndCounts) {
-  CaptureConfig cfg;
-  cfg.ring_capacity = 8;
-  CaptureEngine engine(cfg);
+TEST(SingleShardCapture, DropsWhenRingFullAndCounts) {
+  ShardedCaptureEngine engine({.shards = 1, .ring_capacity = 8});
   int accepted = 0;
   for (int i = 0; i < 20; ++i)
     if (engine.offer(make_udp(0.01 * i), Direction::kInbound)) ++accepted;
@@ -416,12 +418,12 @@ TEST(CaptureEngine, DropsWhenRingFullAndCounts) {
   EXPECT_EQ(engine.stats().consumed, 8u);
 }
 
-TEST(CaptureEngine, PollBatchesBounded) {
-  CaptureEngine engine;
+TEST(SingleShardCapture, PollBatchesBounded) {
+  ShardedCaptureEngine engine({.shards = 1});
   for (int i = 0; i < 100; ++i)
     engine.offer(make_udp(0.001 * i), Direction::kInbound);
-  EXPECT_EQ(engine.poll(30), 30u);
-  EXPECT_EQ(engine.ring_occupancy(), 70u);
+  EXPECT_EQ(engine.poll_shard(0, 30), 30u);
+  EXPECT_EQ(engine.ring_occupancy(0), 70u);
   EXPECT_EQ(engine.drain(), 70u);
 }
 
@@ -438,16 +440,17 @@ TEST(CaptureIntegration, SimToFlowRecordsWithLabels) {
           .lasting(Duration::seconds(5)));
   sim::CampusSimulator simulator(scenario);
 
-  CaptureEngine engine;
+  ShardedCaptureEngine engine({.shards = 1});
   FlowMeter meter;
   std::vector<FlowRecord> flows;
   meter.set_sink([&](const FlowRecord& r) { flows.push_back(r); });
-  engine.add_sink(
-      [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); });
+  engine.add_sink_factory([&](std::size_t) {
+    return [&](const DecodedPacket& t) { meter.offer(t); };
+  });
   simulator.network().set_tap(
       [&](const packet::Packet& p, Direction d) {
         engine.offer(p, d);
-        engine.poll(64);  // consume inline: same-thread capture
+        engine.poll_shard(0, 64);  // consume inline: same-thread capture
       });
   simulator.run_for(Duration::seconds(10));
   engine.drain();

@@ -3,6 +3,7 @@
 // real attack traffic, and dataset building from the store.
 #include <gtest/gtest.h>
 
+#include "campuslab/capture/decoded.h"
 #include "campuslab/features/dataset_builder.h"
 #include "campuslab/features/packet_features.h"
 #include "campuslab/features/sketch.h"
@@ -165,9 +166,10 @@ TEST(PacketFeatures, RateRegistersRiseUnderFlood) {
     // 1000 pps flood from rotating reflectors.
     const Ipv4Address reflector(
         static_cast<std::uint32_t>(0x08080000 + (i % 200)));
-    const auto x = extractor.extract(
+    const capture::DecodedPacket frame(
         inbound_udp(1.0 + i * 0.001, reflector, victim, 53, 1200),
         Direction::kInbound);
+    const auto x = extractor.extract(frame.pkt, frame.view, frame.dir);
     ASSERT_EQ(x.size(), kPacketFeatureCount);
     if (i == 100) early = x;
     if (i == 4999) late = x;
@@ -191,9 +193,10 @@ TEST(PacketFeatures, FanoutRisesForScanner) {
   for (int i = 0; i < 200; ++i) {
     const Ipv4Address target(
         static_cast<std::uint32_t>(0x0A011000 + i));
-    last = extractor.extract(
+    const capture::DecodedPacket frame(
         inbound_udp(1.0 + i * 0.01, scanner, target, 40000, 0),
         Direction::kInbound);
+    last = extractor.extract(frame.pkt, frame.view, frame.dir);
   }
   EXPECT_GT(last[static_cast<std::size_t>(PacketFeature::kSrcFanout)],
             80.0);
@@ -206,15 +209,17 @@ TEST(PacketFeatures, SketchWindowRolls) {
   const Ipv4Address victim(10, 1, 16, 2);
   // Burst of distinct sources, then quiet, then one packet much later.
   for (int i = 0; i < 100; ++i) {
-    extractor.extract(
+    const capture::DecodedPacket frame(
         inbound_udp(1.0 + i * 0.001,
                     Ipv4Address(static_cast<std::uint32_t>(0x17000000 + i)),
                     victim, 53, 100),
         Direction::kInbound);
+    extractor.extract(frame.pkt, frame.view, frame.dir);
   }
-  const auto x = extractor.extract(
+  const capture::DecodedPacket later(
       inbound_udp(10.0, Ipv4Address(23, 9, 9, 9), victim, 53, 100),
       Direction::kInbound);
+  const auto x = extractor.extract(later.pkt, later.view, later.dir);
   // Window rolled: the distinct-src sketch only saw the one new packet.
   EXPECT_LT(
       x[static_cast<std::size_t>(PacketFeature::kDstDistinctSrcs)], 5.0);
@@ -222,10 +227,11 @@ TEST(PacketFeatures, SketchWindowRolls) {
 
 TEST(PacketFeatures, OutboundPacketsSkipRegisters) {
   StatefulFeatureExtractor extractor;
-  const auto x = extractor.extract(
+  const capture::DecodedPacket frame(
       inbound_udp(1.0, Ipv4Address(10, 1, 16, 2), Ipv4Address(8, 8, 8, 8),
                   5000, 64),
       Direction::kOutbound);
+  const auto x = extractor.extract(frame.pkt, frame.view, frame.dir);
   ASSERT_EQ(x.size(), kPacketFeatureCount);
   EXPECT_EQ(x[static_cast<std::size_t>(PacketFeature::kDstInboundPps)],
             0.0);
@@ -237,7 +243,9 @@ TEST(PacketFeatures, NonIpReturnsEmpty) {
   packet::Packet junk;
   junk.ts = Timestamp::from_seconds(1);
   junk.assign(64, 0xAA);
-  EXPECT_TRUE(extractor.extract(junk, Direction::kInbound).empty());
+  EXPECT_TRUE(
+      extractor.extract(junk, packet::PacketView(junk), Direction::kInbound)
+          .empty());
 }
 
 TEST(PacketFeatures, HostTrackingBounded) {
@@ -245,11 +253,12 @@ TEST(PacketFeatures, HostTrackingBounded) {
   cfg.max_tracked_hosts = 100;
   StatefulFeatureExtractor extractor(cfg);
   for (int i = 0; i < 1000; ++i) {
-    extractor.extract(
+    const capture::DecodedPacket frame(
         inbound_udp(1.0 + i * 0.001, Ipv4Address(23, 0, 0, 1),
                     Ipv4Address(static_cast<std::uint32_t>(0x0A010000 + i)),
                     40000, 0),
         Direction::kInbound);
+    extractor.extract(frame.pkt, frame.view, frame.dir);
   }
   EXPECT_LE(extractor.tracked_dsts(), 100u);
 }
@@ -271,7 +280,7 @@ TEST(DatasetBuilder, MulticlassFromSimulatedTraffic) {
   std::vector<capture::FlowRecord> flows;
   meter.set_sink([&](const capture::FlowRecord& r) { flows.push_back(r); });
   simulator.network().set_tap(
-      [&](const packet::Packet& p, Direction d) { meter.offer(p, d); });
+      [&](const packet::Packet& p, Direction d) { meter.offer({p, d}); });
   simulator.run_for(Duration::seconds(12));
   meter.flush();
 

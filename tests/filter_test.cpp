@@ -53,9 +53,12 @@ FilterExpr must_parse(const std::string& text) {
 }
 
 TEST(Filter, ProtocolPredicates) {
-  const auto dns_pkt = udp_frame(kResolver, 53, kClient, 9999);
-  const auto syn_pkt = tcp_frame(kOther, 443, kClient, 5000,
-                                 TcpFlags::kSyn);
+  // Decode each frame once; every filter below reads the same view.
+  const auto dns_frame = udp_frame(kResolver, 53, kClient, 9999);
+  const auto syn_frame = tcp_frame(kOther, 443, kClient, 5000,
+                                   TcpFlags::kSyn);
+  const packet::PacketView dns_pkt(dns_frame);
+  const packet::PacketView syn_pkt(syn_frame);
   EXPECT_TRUE(must_parse("udp").matches(dns_pkt));
   EXPECT_FALSE(must_parse("udp").matches(syn_pkt));
   EXPECT_TRUE(must_parse("tcp").matches(syn_pkt));
@@ -67,7 +70,8 @@ TEST(Filter, ProtocolPredicates) {
 }
 
 TEST(Filter, PortWithDirections) {
-  const auto pkt = udp_frame(kResolver, 53, kClient, 9999);
+  const auto frame = udp_frame(kResolver, 53, kClient, 9999);
+  const packet::PacketView pkt(frame);
   EXPECT_TRUE(must_parse("port 53").matches(pkt));
   EXPECT_TRUE(must_parse("src port 53").matches(pkt));
   EXPECT_FALSE(must_parse("dst port 53").matches(pkt));
@@ -76,7 +80,8 @@ TEST(Filter, PortWithDirections) {
 }
 
 TEST(Filter, HostAndNet) {
-  const auto pkt = udp_frame(kResolver, 53, kClient, 9999);
+  const auto frame = udp_frame(kResolver, 53, kClient, 9999);
+  const packet::PacketView pkt(frame);
   EXPECT_TRUE(must_parse("host 8.8.8.8").matches(pkt));
   EXPECT_TRUE(must_parse("dst host 10.43.16.2").matches(pkt));
   EXPECT_FALSE(must_parse("src host 10.43.16.2").matches(pkt));
@@ -87,20 +92,24 @@ TEST(Filter, HostAndNet) {
 }
 
 TEST(Filter, SizePredicatesWorkOnAnyFrame) {
-  const auto big = udp_frame(kResolver, 53, kClient, 9999, 1200);
-  const auto small = udp_frame(kResolver, 53, kClient, 9999, 10);
+  const auto big_frame = udp_frame(kResolver, 53, kClient, 9999, 1200);
+  const auto small_frame = udp_frame(kResolver, 53, kClient, 9999, 10);
+  const packet::PacketView big(big_frame);
+  const packet::PacketView small(small_frame);
   EXPECT_TRUE(must_parse("greater 1000").matches(big));
   EXPECT_FALSE(must_parse("greater 1000").matches(small));
   EXPECT_TRUE(must_parse("less 100").matches(small));
   // Non-IP garbage still answers size predicates.
-  packet::Packet junk;
-  junk.assign(200, 0xEE);
+  packet::Packet junk_frame;
+  junk_frame.assign(200, 0xEE);
+  const packet::PacketView junk(junk_frame);
   EXPECT_TRUE(must_parse("greater 100").matches(junk));
   EXPECT_FALSE(must_parse("udp").matches(junk));
 }
 
 TEST(Filter, BooleanPrecedenceAndParens) {
-  const auto dns_pkt = udp_frame(kResolver, 53, kClient, 9999);
+  const auto dns_frame = udp_frame(kResolver, 53, kClient, 9999);
+  const packet::PacketView dns_pkt(dns_frame);
   // "tcp or udp and port 53": and binds tighter -> matches.
   EXPECT_TRUE(must_parse("tcp or udp and port 53").matches(dns_pkt));
   // "(tcp or udp) and port 80" -> false for this packet.
@@ -114,9 +123,10 @@ TEST(Filter, BooleanPrecedenceAndParens) {
 }
 
 TEST(Filter, AmplificationSignature) {
-  const auto amp =
-      udp_frame(kResolver, 53, kClient, 7777, 2800);
-  const auto benign_dns = udp_frame(kResolver, 53, kClient, 7777, 180);
+  const auto amp_frame = udp_frame(kResolver, 53, kClient, 7777, 2800);
+  const auto benign_frame = udp_frame(kResolver, 53, kClient, 7777, 180);
+  const packet::PacketView amp(amp_frame);
+  const packet::PacketView benign_dns(benign_frame);
   const auto filter =
       must_parse("udp and src port 53 and greater 1000 and "
                  "dst net 10.43.0.0/16");

@@ -1,9 +1,9 @@
 // Parse-once equivalence: the eager PacketView cached in DecodedPacket
 // at the tap must be indistinguishable from a fresh per-stage decode.
-// For a mixed benign + DNS-amplification trace, every consumer that
-// accepts a cached view (FlowMeter, PacketDatasetCollector, FastLoop /
-// SoftwareSwitch) is run twice — once re-parsing per stage, once on the
-// cached view — and must produce identical output.
+// For a mixed benign + DNS-amplification trace, every consumer of the
+// view (FlowMeter, PacketDatasetCollector, FastLoop / SoftwareSwitch)
+// is run twice — once on a fresh packet::PacketView(t.pkt) built per
+// stage, once on the cached view — and must produce identical output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -92,7 +92,8 @@ TEST(ParseOnce, FlowExportsIdentical) {
 
   FlowMeter fresh;
   fresh.set_sink([&](const FlowRecord& r) { serialize(r, fresh_bytes); });
-  for (const auto& t : trace) fresh.offer(t.pkt, t.dir);  // re-parses
+  for (const auto& t : trace)
+    fresh.offer(t.pkt, packet::PacketView(t.pkt), t.dir);  // re-parses
   fresh.flush();
 
   FlowMeter cached;
@@ -111,7 +112,8 @@ TEST(ParseOnce, DatasetRowsIdentical) {
   options.seed = 99;
 
   features::PacketDatasetCollector fresh(options);
-  for (const auto& t : trace) fresh.offer(t.pkt, t.dir);
+  for (const auto& t : trace)
+    fresh.offer(t.pkt, packet::PacketView(t.pkt), t.dir);
   features::PacketDatasetCollector cached(options);
   for (const auto& t : trace) cached.offer(t.pkt, t.view, t.dir);
 
@@ -170,8 +172,9 @@ TEST(ParseOnce, FastLoopVerdictsIdentical) {
   const auto trace = record_trace(2025);
   for (const auto& t : trace) {
     if (t.dir != sim::Direction::kInbound) continue;
-    const bool a = fresh.value()->inspect(t.pkt);          // re-parses
-    const bool b = cached.value()->inspect(t.pkt, t.view);  // cached
+    // One loop re-parses every packet, the other reads the cached view.
+    const bool a = fresh.value()->inspect(t.pkt, packet::PacketView(t.pkt));
+    const bool b = cached.value()->inspect(t.pkt, t.view);
     ASSERT_EQ(b, a);
   }
   const auto& sa = fresh.value()->stats();

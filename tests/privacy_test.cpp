@@ -144,7 +144,7 @@ packet::Packet make_frame(std::uint16_t dport, std::size_t payload) {
 TEST(PayloadPolicy, KeepLeavesPayloadIntact) {
   auto pkt = make_frame(53, 200);
   const auto original = pkt.copy_bytes();
-  PayloadPolicy::conservative().apply(pkt, 1);
+  PayloadPolicy::conservative().apply(pkt, packet::PacketView(pkt), 1);
   // DNS is kKeep in the conservative policy
   EXPECT_EQ(pkt.copy_bytes(), original);
 }
@@ -152,7 +152,7 @@ TEST(PayloadPolicy, KeepLeavesPayloadIntact) {
 TEST(PayloadPolicy, TruncateShortensFrame) {
   auto pkt = make_frame(443, 500);
   const auto before = pkt.size();
-  PayloadPolicy::conservative().apply(pkt, 1);
+  PayloadPolicy::conservative().apply(pkt, packet::PacketView(pkt), 1);
   EXPECT_LT(pkt.size(), before);
   packet::PacketView v(pkt);
   ASSERT_TRUE(v.valid());
@@ -163,7 +163,7 @@ TEST(PayloadPolicy, TruncateShortensFrame) {
 
 TEST(PayloadPolicy, StripRemovesPayload) {
   auto pkt = make_frame(22, 300);
-  PayloadPolicy::conservative().apply(pkt, 1);
+  PayloadPolicy::conservative().apply(pkt, packet::PacketView(pkt), 1);
   // Frame now ends right after the UDP header.
   EXPECT_EQ(pkt.size(),
             packet::EthernetHeader::kSize + 20 + packet::UdpHeader::kSize);
@@ -174,19 +174,19 @@ TEST(PayloadPolicy, HashReplacesButKeepsLength) {
   policy.set_default(PayloadAction::kHash);
   auto pkt = make_frame(9999, 64);
   const auto before = pkt.copy_bytes();
-  policy.apply(pkt, 42);
+  policy.apply(pkt, packet::PacketView(pkt), 42);
   EXPECT_EQ(pkt.size(), before.size());
   EXPECT_NE(pkt.copy_bytes(), before);
   // Identical payloads hash identically (correlation preserved)...
   auto pkt2 = make_frame(9999, 64);
-  policy.apply(pkt2, 42);
+  policy.apply(pkt2, packet::PacketView(pkt2), 42);
   const auto digest = pkt.copy_bytes();
   const auto digest2 = pkt2.copy_bytes();
   EXPECT_EQ(std::vector<std::uint8_t>(digest.end() - 16, digest.end()),
             std::vector<std::uint8_t>(digest2.end() - 16, digest2.end()));
   // ...but a different key gives a different digest.
   auto pkt3 = make_frame(9999, 64);
-  policy.apply(pkt3, 43);
+  policy.apply(pkt3, packet::PacketView(pkt3), 43);
   EXPECT_NE(pkt.copy_bytes(), pkt3.copy_bytes());
 }
 

@@ -330,9 +330,12 @@ TEST(DegradationController, DatasetRowsShedUnderDegraded) {
   controller.update(0.6);
   features::PacketDatasetCollector collector;
   collector.set_degradation(&controller);
-  for (int i = 0; i < 20; ++i)
-    collector.offer(make_udp(static_cast<std::uint16_t>(1000 + i)),
-                    sim::Direction::kInbound);
+  for (int i = 0; i < 20; ++i) {
+    const capture::DecodedPacket frame(
+        make_udp(static_cast<std::uint16_t>(1000 + i)),
+        sim::Direction::kInbound);
+    collector.offer(frame.pkt, frame.view, frame.dir);
+  }
   // Extractor state advanced for every packet, but no rows were kept.
   EXPECT_EQ(collector.packets_seen(), 20u);
   EXPECT_EQ(collector.rows_collected(), 0u);
@@ -369,7 +372,7 @@ TEST(Supervisor, WorkerDeathsAreCaughtCountedAndRestarted) {
   capture::ShardedCaptureEngine engine({.shards = 2});
   std::atomic<std::uint64_t> seen{0};
   engine.add_sink_factory([&seen](std::size_t) {
-    return [&seen](const capture::TaggedPacket&) { ++seen; };
+    return [&seen](const capture::DecodedPacket&) { ++seen; };
   });
   engine.start();
   Rng rng(3);
@@ -404,15 +407,17 @@ TEST(Supervisor, RestartBudgetQuarantinesAndReroutes) {
   // Shard 1's sink always throws — a persistent failure, not transient.
   std::atomic<std::uint64_t> shard0_seen{0};
   engine.add_sink_factory([&shard0_seen](std::size_t shard) {
-    return [&shard0_seen, shard](const capture::TaggedPacket&) {
+    return [&shard0_seen, shard](const capture::DecodedPacket&) {
       if (shard == 1) throw std::runtime_error("persistently broken sink");
       ++shard0_seen;
     };
   });
   // Find a packet that hashes to each shard.
   std::uint16_t port_for[2] = {0, 0};
-  for (std::uint16_t p = 1; port_for[0] == 0 || port_for[1] == 0; ++p)
-    port_for[engine.shard_of(make_udp(p))] = p;
+  for (std::uint16_t p = 1; port_for[0] == 0 || port_for[1] == 0; ++p) {
+    const auto pkt = make_udp(p);
+    port_for[engine.shard_of(packet::PacketView(pkt))] = p;
+  }
 
   engine.start();
   // Feed shard 1 until its two worker deaths exhaust the budget of 1.
@@ -446,7 +451,7 @@ TEST(Supervisor, BoundedStopDrainAbandonsWedgedSink) {
                                         .stop_drain_deadline =
                                             Duration::millis(20)});
   engine.add_sink_factory([](std::size_t) {
-    return [](const capture::TaggedPacket&) {
+    return [](const capture::DecodedPacket&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));  // wedged
     };
   });
@@ -474,7 +479,7 @@ TEST(Supervisor, UnboundedDrainStillRunsToEmpty) {
       {.shards = 1, .stop_drain_deadline = Duration::nanos(0)});
   std::atomic<std::uint64_t> seen{0};
   engine.add_sink_factory([&seen](std::size_t) {
-    return [&seen](const capture::TaggedPacket&) { ++seen; };
+    return [&seen](const capture::DecodedPacket&) { ++seen; };
   });
   for (int i = 0; i < 500; ++i)
     ASSERT_TRUE(engine.offer(make_udp(static_cast<std::uint16_t>(1 + i)),
@@ -493,7 +498,7 @@ TEST(Supervisor, OneShardBaselineIsQuiet) {
   capture::ShardedCaptureEngine engine({.shards = 1});
   std::atomic<std::uint64_t> seen{0};
   engine.add_sink_factory([&seen](std::size_t) {
-    return [&seen](const capture::TaggedPacket&) { ++seen; };
+    return [&seen](const capture::DecodedPacket&) { ++seen; };
   });
   engine.start();
   for (int i = 0; i < 5000; ++i) {
@@ -707,7 +712,7 @@ void run_chaos_class(const char* name, FaultSpec spec) {
   }
   engine.add_sink_factory([&meters, &collectors](std::size_t s) {
     return [meter = meters[s].get(), collector = collectors[s].get()](
-               const capture::TaggedPacket& t) {
+               const capture::DecodedPacket& t) {
       meter->offer(t.pkt, t.view, t.dir);
       collector->offer(t.pkt, t.view, t.dir);
     };
@@ -726,7 +731,7 @@ void run_chaos_class(const char* name, FaultSpec spec) {
     pkt.label = f.label;
     pkt.assign(f.bytes);
     if (f.dir == sim::Direction::kInbound) {
-      (void)loop.value()->inspect(pkt);
+      (void)loop.value()->inspect(pkt, packet::PacketView(pkt));
       ++inspected;
     }
     (void)engine.offer(std::move(pkt), f.dir);

@@ -16,7 +16,6 @@
 #include <thread>
 #include <unistd.h>
 
-#include "campuslab/capture/engine.h"
 #include "campuslab/capture/flow.h"
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/capture/pcap.h"
@@ -154,11 +153,11 @@ TEST(FuzzPcap, CorruptedFilesFailCleanly) {
 }
 
 TEST(OverloadCapture, OneSlotRingStillAccountsExactly) {
-  capture::CaptureConfig cfg;
-  cfg.ring_capacity = 1;
-  capture::CaptureEngine engine(cfg);
+  capture::ShardedCaptureEngine engine({.shards = 1, .ring_capacity = 1});
   std::uint64_t seen = 0;
-  engine.add_sink([&](const capture::TaggedPacket&) { ++seen; });
+  engine.add_sink_factory([&](std::size_t) {
+    return [&](const capture::DecodedPacket&) { ++seen; };
+  });
   using namespace packet;
   const auto pkt = PacketBuilder(Timestamp::from_seconds(1))
                        .udp(Endpoint{MacAddress::from_id(1),
@@ -168,7 +167,7 @@ TEST(OverloadCapture, OneSlotRingStillAccountsExactly) {
                        .build();
   for (int i = 0; i < 1000; ++i) {
     engine.offer(pkt, sim::Direction::kInbound);
-    if (i % 3 == 0) engine.poll(1);
+    if (i % 3 == 0) engine.poll_shard(0, 1);
   }
   engine.drain();
   const auto& s = engine.stats();
@@ -187,7 +186,7 @@ TEST(OverloadCapture, OneSlotShardedRingAccountsExactlyUnderConcurrentStop) {
   capture::ShardedCaptureEngine engine({.shards = 2, .ring_capacity = 1});
   std::atomic<std::uint64_t> seen{0};
   engine.add_sink_factory([&seen](std::size_t) {
-    return [&seen](const capture::TaggedPacket&) { ++seen; };
+    return [&seen](const capture::DecodedPacket&) { ++seen; };
   });
   using namespace packet;
   engine.start();
@@ -239,10 +238,10 @@ TEST(OverloadFlowMeter, MillionDistinctFlowsStayBounded) {
     const Endpoint dst{MacAddress::from_id(2),
                        Ipv4Address(10, 0, 16, 2),
                        static_cast<std::uint16_t>(rng.below(65536))};
-    meter.offer(PacketBuilder(Timestamp::from_nanos(i * 1000))
-                    .udp(src, dst)
-                    .build(),
-                sim::Direction::kInbound);
+    meter.offer({PacketBuilder(Timestamp::from_nanos(i * 1000))
+                     .udp(src, dst)
+                     .build(),
+                 sim::Direction::kInbound});
     ASSERT_LE(meter.active_flows(), 10'000u);
   }
   EXPECT_GT(evicted, 80'000u);
@@ -280,7 +279,8 @@ TEST(HostileFeatures, ExtractorSurvivesGarbageAndExtremes) {
     junk.resize(rng.below(128));
     for (auto& b : junk.mutable_bytes())
       b = static_cast<std::uint8_t>(rng.next());
-    const auto x = extractor.extract(junk, sim::Direction::kInbound);
+    const auto x = extractor.extract(junk, packet::PacketView(junk),
+                                     sim::Direction::kInbound);
     for (const auto v : x) EXPECT_TRUE(std::isfinite(v));
   }
 }

@@ -2,14 +2,14 @@
 // algebra (then / alongside / triggered), intensity envelopes, strict
 // victim-set resolution, per-frame label + scenario-id stamping,
 // per-scenario delivery accounting, seed determinism, and the legacy
-// shim pins — the six frame-stream hashes recorded from the retired
-// per-attack classes, which the shims must reproduce byte-identically.
+// pins — the six frame-stream hashes recorded from the retired
+// per-attack classes, which the equivalent Scenario::attack(...) chains
+// must reproduce byte-identically.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
-#include "campuslab/sim/attacks.h"
 #include "campuslab/sim/simulator.h"
 
 namespace campuslab::sim {
@@ -180,17 +180,20 @@ TEST(VictimSelectorTest, ClientIndexOutOfRangeIsAnErrorNotAClamp) {
   EXPECT_EQ(armed.error().code, "scenario_bad_victim");
 }
 
-// Regression for the legacy FlashCrowdConfig::client_index footgun: the
-// old injector silently clamped an out-of-range index onto the last
-// client; the shim now surfaces a scenario_bad_victim arming error.
+// Regression for the legacy flash-crowd client_index footgun: the old
+// injector silently clamped an out-of-range index onto the last client;
+// a scenario armed through ScenarioConfig::scenarios now surfaces a
+// scenario_bad_victim error from the constructor path.
 TEST(VictimSelectorTest, LegacyFlashCrowdFootgunSurfacesAsError) {
   ScenarioConfig cfg;
   cfg.campus.seed = 22;
-  FlashCrowdConfig crowd;
-  crowd.start = Timestamp::from_seconds(1);
-  crowd.duration = Duration::seconds(4);
-  crowd.client_index = 999'999;
-  cfg.scenarios.push_back(legacy_scenario(crowd));
+  cfg.scenarios.push_back(
+      Scenario::attack(BehaviorKind::kFlashCrowd)
+          .with(FlashCrowdShape{.payload_bytes = 1200, .sources = 40})
+          .rate(3000)
+          .starting_at(Timestamp::from_seconds(1))
+          .lasting(Duration::seconds(4))
+          .against(victims().client_index(999'999)));
   CampusSimulator sim(cfg);
   ASSERT_EQ(sim.scenario_errors().size(), 1u);
   EXPECT_EQ(sim.scenario_errors()[0].code, "scenario_bad_victim");
@@ -494,11 +497,12 @@ TEST(WormBehavior, TriggeredExfilStartsAfterTheDelay) {
   EXPECT_LT(exfil_frames, 400u);
 }
 
-// --------------------------------------------------- legacy shim pins
+// ---------------------------------------------------------- legacy pins
 
 // Frame-stream hashes recorded from the pre-refactor per-attack
-// classes. The shims must reproduce them byte-for-byte; a mismatch
-// means the migration changed emitted traffic.
+// classes. Each chain below states the retired class's configuration
+// in full (shape, rate, window, victim), so a mismatch means the
+// scenario layer changed emitted traffic.
 void expect_pin(const char* what, const ScenarioConfig& cfg,
                 double seconds, std::uint64_t want_frames,
                 std::uint64_t want_hash) {
@@ -507,101 +511,98 @@ void expect_pin(const char* what, const ScenarioConfig& cfg,
   EXPECT_EQ(got.h, want_hash) << what;
 }
 
-TEST(LegacyPins, DnsAmplificationIsByteIdentical) {
+Scenario dns_amplification(double pps, double start_s, int seconds,
+                           std::size_t response_bytes = 3000) {
+  return Scenario::attack(BehaviorKind::kDnsAmplification)
+      .with(DnsAmplificationShape{.response_bytes = response_bytes,
+                                  .reflectors = 400})
+      .rate(pps)
+      .starting_at(Timestamp::from_seconds(start_s))
+      .lasting(Duration::seconds(seconds));
+}
+
+Scenario syn_flood(double pps, double start_s, int seconds) {
+  return Scenario::attack(BehaviorKind::kSynFlood)
+      .with(SynFloodShape{.target_port = 443})
+      .rate(pps)
+      .starting_at(Timestamp::from_seconds(start_s))
+      .lasting(Duration::seconds(seconds));
+}
+
+Scenario port_scan(double pps, double start_s, int seconds,
+                   int ports_per_host = 12) {
+  return Scenario::attack(BehaviorKind::kPortScan)
+      .with(PortScanShape{.ports_per_host = ports_per_host})
+      .rate(pps)
+      .starting_at(Timestamp::from_seconds(start_s))
+      .lasting(Duration::seconds(seconds));
+}
+
+Scenario ssh_brute_force(double per_second, double start_s, int seconds) {
+  return Scenario::attack(BehaviorKind::kSshBruteForce)
+      .rate(per_second)
+      .starting_at(Timestamp::from_seconds(start_s))
+      .lasting(Duration::seconds(seconds));
+}
+
+Scenario flash_crowd(double pps, double start_s, int seconds,
+                     std::size_t client_index, std::size_t payload_bytes,
+                     int sources) {
+  return Scenario::attack(BehaviorKind::kFlashCrowd)
+      .with(FlashCrowdShape{.payload_bytes = payload_bytes,
+                            .sources = sources})
+      .rate(pps)
+      .starting_at(Timestamp::from_seconds(start_s))
+      .lasting(Duration::seconds(seconds))
+      .against(victims().client_index(client_index));
+}
+
+ScenarioConfig pin_config(std::uint64_t seed) {
   ScenarioConfig s;
-  s.campus.seed = 11;
+  s.campus.seed = seed;
   s.campus.diurnal = false;
-  DnsAmplificationConfig amp;
-  amp.start = Timestamp::from_seconds(2);
-  amp.duration = Duration::seconds(6);
-  amp.response_rate_pps = 500;
-  amp.response_bytes = 1200;
-  s.scenarios.push_back(legacy_scenario(amp));
+  return s;
+}
+
+TEST(LegacyPins, DnsAmplificationIsByteIdentical) {
+  auto s = pin_config(11);
+  s.scenarios.push_back(dns_amplification(500, 2, 6, 1200));
   expect_pin("dns_amplification", s, 10, 16291, 0xe71d29319b57249eULL);
 }
 
 TEST(LegacyPins, SynFloodIsByteIdentical) {
-  ScenarioConfig s;
-  s.campus.seed = 12;
-  s.campus.diurnal = false;
-  SynFloodConfig flood;
-  flood.start = Timestamp::from_seconds(2);
-  flood.duration = Duration::seconds(6);
-  flood.syn_rate_pps = 800;
-  s.scenarios.push_back(legacy_scenario(flood));
+  auto s = pin_config(12);
+  s.scenarios.push_back(syn_flood(800, 2, 6));
   expect_pin("syn_flood", s, 10, 15787, 0xae60df386bfa12bcULL);
 }
 
 TEST(LegacyPins, PortScanIsByteIdentical) {
-  ScenarioConfig s;
-  s.campus.seed = 13;
-  s.campus.diurnal = false;
-  PortScanConfig scan;
-  scan.start = Timestamp::from_seconds(1);
-  scan.duration = Duration::seconds(8);
-  scan.probe_rate_pps = 200;
-  scan.ports_per_host = 5;
-  s.scenarios.push_back(legacy_scenario(scan));
+  auto s = pin_config(13);
+  s.scenarios.push_back(port_scan(200, 1, 8, 5));
   expect_pin("port_scan", s, 10, 13115, 0x29b05ee54e3ed1aaULL);
 }
 
 TEST(LegacyPins, SshBruteForceIsByteIdentical) {
-  ScenarioConfig s;
-  s.campus.seed = 14;
-  s.campus.diurnal = false;
-  SshBruteForceConfig brute;
-  brute.start = Timestamp::from_seconds(1);
-  brute.duration = Duration::seconds(8);
-  brute.attempts_per_second = 10;
-  s.scenarios.push_back(legacy_scenario(brute));
+  auto s = pin_config(14);
+  s.scenarios.push_back(ssh_brute_force(10, 1, 8));
   expect_pin("ssh_brute_force", s, 10, 8908, 0xe8c410bae1b439beULL);
 }
 
 TEST(LegacyPins, FlashCrowdIsByteIdentical) {
-  ScenarioConfig s;
-  s.campus.seed = 15;
-  s.campus.diurnal = false;
-  FlashCrowdConfig crowd;
-  crowd.start = Timestamp::from_seconds(1);
-  crowd.duration = Duration::seconds(5);
-  crowd.rate_pps = 600;
-  crowd.payload_bytes = 700;
-  crowd.client_index = 3;
-  crowd.sources = 12;
-  s.scenarios.push_back(legacy_scenario(crowd));
+  auto s = pin_config(15);
+  s.scenarios.push_back(flash_crowd(600, 1, 5, /*client_index=*/3,
+                                    /*payload_bytes=*/700, /*sources=*/12));
   expect_pin("flash_crowd", s, 8, 17850, 0x6c81650ddd09054dULL);
 }
 
 TEST(LegacyPins, CombinedArmingOrderIsByteIdentical) {
-  ScenarioConfig s;
-  s.campus.seed = 16;
-  s.campus.diurnal = false;
-  DnsAmplificationConfig amp;
-  amp.start = Timestamp::from_seconds(2);
-  amp.duration = Duration::seconds(4);
-  amp.response_rate_pps = 300;
-  s.scenarios.push_back(legacy_scenario(amp));
-  SynFloodConfig flood;
-  flood.start = Timestamp::from_seconds(3);
-  flood.duration = Duration::seconds(4);
-  flood.syn_rate_pps = 400;
-  s.scenarios.push_back(legacy_scenario(flood));
-  PortScanConfig scan;
-  scan.start = Timestamp::from_seconds(1);
-  scan.duration = Duration::seconds(6);
-  scan.probe_rate_pps = 150;
-  s.scenarios.push_back(legacy_scenario(scan));
-  SshBruteForceConfig brute;
-  brute.start = Timestamp::from_seconds(1);
-  brute.duration = Duration::seconds(6);
-  brute.attempts_per_second = 6;
-  s.scenarios.push_back(legacy_scenario(brute));
-  FlashCrowdConfig crowd;
-  crowd.start = Timestamp::from_seconds(4);
-  crowd.duration = Duration::seconds(3);
-  crowd.rate_pps = 350;
-  crowd.client_index = 2;
-  s.scenarios.push_back(legacy_scenario(crowd));
+  auto s = pin_config(16);
+  s.scenarios.push_back(dns_amplification(300, 2, 4));
+  s.scenarios.push_back(syn_flood(400, 3, 4));
+  s.scenarios.push_back(port_scan(150, 1, 6));
+  s.scenarios.push_back(ssh_brute_force(6, 1, 6));
+  s.scenarios.push_back(flash_crowd(350, 4, 3, /*client_index=*/2,
+                                    /*payload_bytes=*/1200, /*sources=*/40));
   expect_pin("combined", s, 9, 12261, 0xd3d632ca0a947d69ULL);
 }
 

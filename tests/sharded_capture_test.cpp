@@ -62,7 +62,7 @@ TEST(ShardedCaptureEngine, ConcurrentLosslessAccounting) {
 
   std::vector<std::uint64_t> per_shard_seen(4, 0);
   engine.add_sink_factory([&](std::size_t shard) {
-    return [&per_shard_seen, shard](const TaggedPacket&) {
+    return [&per_shard_seen, shard](const DecodedPacket&) {
       ++per_shard_seen[shard];  // worker-local: only shard's thread
     };
   });
@@ -116,8 +116,12 @@ TEST(ShardedCaptureEngine, SameConversationSameShard) {
                            0x08080000 + rng.below(256))),
                       static_cast<std::uint16_t>(rng.chance(0.5) ? 53 : 443));
     const auto ts = Timestamp::from_nanos(i);
-    const auto fwd = PacketBuilder(ts).udp(a, b).payload_size(64).build();
-    const auto rev = PacketBuilder(ts).udp(b, a).payload_size(64).build();
+    const auto fwd_frame =
+        PacketBuilder(ts).udp(a, b).payload_size(64).build();
+    const auto rev_frame =
+        PacketBuilder(ts).udp(b, a).payload_size(64).build();
+    const packet::PacketView fwd(fwd_frame);
+    const packet::PacketView rev(rev_frame);
     EXPECT_EQ(engine.shard_of(fwd), engine.shard_of(rev));
     EXPECT_LT(engine.shard_of(fwd), engine.shards());
     // Deterministic: the spreader is a pure function of the tuple.
@@ -141,10 +145,10 @@ TEST(ShardedCaptureEngine, NonIpFramesSpreadAcrossShards) {
     junk.resize(14 + rng.below(128));  // too short / garbage headers
     for (auto& b : junk.mutable_bytes())
       b = static_cast<std::uint8_t>(rng.below(256));
-    const auto shard = engine.shard_of(junk);
+    const auto shard = engine.shard_of(packet::PacketView(junk));
     ASSERT_LT(shard, engine.shards());
     // Deterministic: same bytes -> same shard, every time.
-    EXPECT_EQ(engine.shard_of(junk), shard);
+    EXPECT_EQ(engine.shard_of(packet::PacketView(junk)), shard);
     hits[shard]++;
   }
   std::size_t busy = 0;
@@ -163,20 +167,19 @@ TEST(ShardedCaptureEngine, SpreaderOutputPinned) {
   cfg.shards = 8;
   ShardedCaptureEngine engine(cfg);
 
-  const auto tuple_pkt = [&](std::uint32_t src, std::uint32_t dst,
-                             std::uint16_t sport, std::uint16_t dport) {
-    return PacketBuilder(Timestamp::from_nanos(1))
-        .udp(ep(1, Ipv4Address(src), sport), ep(2, Ipv4Address(dst), dport))
-        .payload_size(32)
-        .build();
+  const auto tuple_shard = [&](std::uint32_t src, std::uint32_t dst,
+                               std::uint16_t sport, std::uint16_t dport) {
+    const auto pkt = PacketBuilder(Timestamp::from_nanos(1))
+                         .udp(ep(1, Ipv4Address(src), sport),
+                              ep(2, Ipv4Address(dst), dport))
+                         .payload_size(32)
+                         .build();
+    return engine.shard_of(packet::PacketView(pkt));
   };
-  EXPECT_EQ(engine.shard_of(tuple_pkt(0x0A000001, 0x08080808, 4242, 53)),
-            0u);
-  EXPECT_EQ(engine.shard_of(tuple_pkt(0x0A000002, 0x08080808, 4242, 53)),
-            1u);
-  EXPECT_EQ(engine.shard_of(tuple_pkt(0x0A000001, 0x08080404, 9999, 443)),
-            5u);
-  EXPECT_EQ(engine.shard_of(tuple_pkt(0xC0A80101, 0x0A000001, 1, 2)), 5u);
+  EXPECT_EQ(tuple_shard(0x0A000001, 0x08080808, 4242, 53), 0u);
+  EXPECT_EQ(tuple_shard(0x0A000002, 0x08080808, 4242, 53), 1u);
+  EXPECT_EQ(tuple_shard(0x0A000001, 0x08080404, 9999, 443), 5u);
+  EXPECT_EQ(tuple_shard(0xC0A80101, 0x0A000001, 1, 2), 5u);
 
   // Tuple-less frames take the byte-hash path under the same basis.
   packet::Packet junk;
@@ -184,7 +187,7 @@ TEST(ShardedCaptureEngine, SpreaderOutputPinned) {
   junk.resize(32);
   for (std::size_t i = 0; i < 32; ++i)
     junk.mutable_bytes()[i] = static_cast<std::uint8_t>(i * 7 + 3);
-  EXPECT_EQ(engine.shard_of(junk), 1u);
+  EXPECT_EQ(engine.shard_of(packet::PacketView(junk)), 1u);
 }
 
 TEST(ShardedCaptureEngine, DropsAttributedToTheFullShard) {
@@ -199,7 +202,7 @@ TEST(ShardedCaptureEngine, DropsAttributedToTheFullShard) {
                             ep(2, Ipv4Address(8, 8, 8, 8), 53))
                        .payload_size(64)
                        .build();
-  const auto victim = engine.shard_of(pkt);
+  const auto victim = engine.shard_of(packet::PacketView(pkt));
   for (int i = 0; i < 10; ++i) engine.offer(pkt, Direction::kOutbound);
 
   for (std::size_t s = 0; s < engine.shards(); ++s) {
@@ -236,9 +239,7 @@ TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
         ingester.ingest(s, r);
       });
     engine.add_sink_factory([&](std::size_t s) {
-      return [&flows, s](const TaggedPacket& t) {
-        flows.meter(s).offer(t.pkt, t.dir);
-      };
+      return [&flows, s](const DecodedPacket& t) { flows.meter(s).offer(t); };
     });
 
     engine.start();

@@ -1,14 +1,16 @@
-// Determinism regression: with shards=1 the sharded engine must produce
-// a byte-identical flow-export stream to the legacy CaptureEngine on
-// the same simulated trace. Every downstream EXPERIMENTS number is
-// derived from these exports, so this is the contract that lets later
-// PRs swap the sharded pipeline in without re-baselining results.
+// Determinism regression: the sharded engine must not change what the
+// flow meter exports. The reference is the simplest pipeline there is:
+// one FlowMeter fed the recorded trace directly, with no engine. A
+// one-shard simulation run must reproduce its export stream byte for
+// byte, and a threaded run's merged export must equal its canonical
+// order. Every downstream EXPERIMENTS number is derived from these
+// exports, so this is the contract that keeps results stable across
+// capture-path changes.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
-#include "campuslab/capture/engine.h"
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/features/flow_merge.h"
 #include "campuslab/sim/simulator.h"
@@ -53,8 +55,9 @@ std::vector<std::uint8_t> serialize_all(
 }
 
 /// A few seconds of campus traffic with one injected attack, recorded
-/// off the simulator tap so both pipelines replay the exact same trace.
-std::vector<TaggedPacket> record_trace() {
+/// (and decoded once) off the simulator tap so every pipeline replays
+/// the exact same trace.
+std::vector<DecodedPacket> record_trace() {
   sim::ScenarioConfig scenario;
   scenario.campus.seed = 1234;
   scenario.campus.diurnal = false;
@@ -65,53 +68,44 @@ std::vector<TaggedPacket> record_trace() {
           .lasting(Duration::seconds(3)));
 
   sim::CampusSimulator simulator(scenario);
-  std::vector<TaggedPacket> trace;
+  std::vector<DecodedPacket> trace;
   simulator.network().set_tap(
       [&](const packet::Packet& p, sim::Direction d) {
-        trace.push_back(TaggedPacket{p, d});
+        trace.emplace_back(p, d);
       });
   simulator.run_for(Duration::seconds(8));
   return trace;
 }
 
-TEST(ShardedDeterminism, SingleShardMatchesLegacyEngineByteForByte) {
+/// The reference: one FlowMeter fed the trace directly, no engine.
+std::vector<FlowRecord> serial_exports(
+    const std::vector<DecodedPacket>& trace) {
+  std::vector<FlowRecord> exports;
+  FlowMeter meter;
+  meter.set_sink([&](const FlowRecord& r) { exports.push_back(r); });
+  for (const auto& frame : trace) meter.offer(frame);
+  meter.flush();
+  return exports;
+}
+
+TEST(ShardedDeterminism, SingleShardMatchesSerialMeterByteForByte) {
   const auto trace = record_trace();
   ASSERT_GT(trace.size(), 1000u);
+  const auto reference = serial_exports(trace);
 
-  // Legacy pipeline: CaptureEngine -> FlowMeter, consumed inline.
-  std::vector<FlowRecord> legacy_exports;
-  {
-    CaptureEngine engine;
-    FlowMeter meter;
-    meter.set_sink(
-        [&](const FlowRecord& r) { legacy_exports.push_back(r); });
-    engine.add_sink(
-        [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); });
-    for (const auto& tagged : trace) {
-      engine.offer(tagged.pkt, tagged.dir);
-      engine.poll(64);
-    }
-    engine.drain();
-    meter.flush();
-    EXPECT_EQ(engine.stats().dropped, 0u);
-  }
-
-  // Sharded pipeline, shards=1, simulation mode (same thread, same
-  // cadence): must reproduce the identical export stream.
+  // shards=1, simulation mode: offer, then consume inline on the same
+  // thread, the way the Testbed runs it.
   std::vector<FlowRecord> sharded_exports;
   {
-    ShardedCaptureConfig cfg;
-    cfg.shards = 1;
-    cfg.ring_capacity = 1 << 16;
-    ShardedCaptureEngine engine(cfg);
+    ShardedCaptureEngine engine({.shards = 1, .ring_capacity = 1 << 16});
     FlowMeter meter;
     meter.set_sink(
         [&](const FlowRecord& r) { sharded_exports.push_back(r); });
     engine.add_sink_factory([&](std::size_t) {
-      return [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); };
+      return [&](const DecodedPacket& t) { meter.offer(t); };
     });
-    for (const auto& tagged : trace) {
-      engine.offer(tagged.pkt, tagged.dir);
+    for (const auto& frame : trace) {
+      engine.offer(frame.pkt, frame.dir);
       engine.poll_shard(0, 64);
     }
     engine.drain();
@@ -119,47 +113,27 @@ TEST(ShardedDeterminism, SingleShardMatchesLegacyEngineByteForByte) {
     EXPECT_EQ(engine.stats().dropped, 0u);
   }
 
-  ASSERT_EQ(sharded_exports.size(), legacy_exports.size());
-  EXPECT_EQ(serialize_all(sharded_exports), serialize_all(legacy_exports));
+  ASSERT_EQ(sharded_exports.size(), reference.size());
+  EXPECT_EQ(serialize_all(sharded_exports), serialize_all(reference));
 }
 
 // The merged (canonically ordered) export is also invariant: sorting
-// the legacy stream gives exactly the sharded collector's merge — and
-// repeating the sharded run with threads reproduces the same bytes.
+// the serial reference gives exactly the sharded collector's merge of
+// a run on a real worker thread.
 TEST(ShardedDeterminism, MergedExportIsCanonical) {
   const auto trace = record_trace();
-
-  std::vector<FlowRecord> legacy_exports;
-  {
-    CaptureEngine engine;
-    FlowMeter meter;
-    meter.set_sink(
-        [&](const FlowRecord& r) { legacy_exports.push_back(r); });
-    engine.add_sink(
-        [&](const TaggedPacket& t) { meter.offer(t.pkt, t.dir); });
-    for (const auto& tagged : trace) {
-      engine.offer(tagged.pkt, tagged.dir);
-      engine.poll(64);
-    }
-    engine.drain();
-    meter.flush();
-  }
-  auto canonical = features::merge_flow_exports({legacy_exports});
+  const auto canonical =
+      features::merge_flow_exports({serial_exports(trace)});
 
   auto sharded_merged = [&] {
-    ShardedCaptureConfig cfg;
-    cfg.shards = 1;
-    cfg.ring_capacity = 1 << 16;
-    ShardedCaptureEngine engine(cfg);
-    features::ShardedFlowCollector flows(cfg.shards);
+    ShardedCaptureEngine engine({.shards = 1, .ring_capacity = 1 << 16});
+    features::ShardedFlowCollector flows(engine.shards());
     engine.add_sink_factory([&](std::size_t s) {
-      return [&flows, s](const TaggedPacket& t) {
-        flows.meter(s).offer(t.pkt, t.dir);
-      };
+      return [&flows, s](const DecodedPacket& t) { flows.meter(s).offer(t); };
     });
     engine.start();  // real worker this time
-    for (const auto& tagged : trace) {
-      while (!engine.offer(tagged.pkt, tagged.dir)) {
+    for (const auto& frame : trace) {
+      while (!engine.offer(frame.pkt, frame.dir)) {
       }
     }
     engine.stop();

@@ -1,5 +1,5 @@
-// Real two-thread stress tests for SpscRing and the CaptureEngine's
-// live-sampled stats — the concurrency harness for the sharded capture
+// Real multi-thread stress tests for SpscRing and the sharded capture
+// engine's live-sampled stats — the concurrency harness for the capture
 // pipeline. Run these under -fsanitize=thread (CAMPUSLAB_SANITIZE) to
 // verify the memory-ordering story, not just the happy path.
 #include <gtest/gtest.h>
@@ -7,10 +7,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "campuslab/capture/engine.h"
+#include "campuslab/capture/sharded_engine.h"
 #include "campuslab/capture/spsc_ring.h"
 #include "campuslab/packet/builder.h"
 
@@ -90,66 +91,98 @@ TEST(SpscRingConcurrency, PushFailuresExactlyMatchConsumerGap) {
   EXPECT_GT(consumed, 0u);
 }
 
-// The satellite-5 invariant: CaptureEngine::stats() is safe to sample
-// from a third thread while both sides run, and every live snapshot
-// satisfies consumed <= offered and accepted + dropped <= offered,
-// with all counters monotone. Exact equalities hold after quiescence.
-TEST(CaptureEngineConcurrency, LiveStatsSnapshotInvariants) {
-  CaptureConfig cfg;
-  cfg.ring_capacity = 512;
-  CaptureEngine engine(cfg);
-  std::uint64_t sink_count = 0;
-  engine.add_sink([&](const TaggedPacket&) { ++sink_count; });
+/// The first live-sample invariant `s` breaks, given the previous
+/// sample `prev` from the same thread; nullptr when all hold.
+const char* live_violation(const CaptureStats& s, const CaptureStats& prev) {
+  if (s.consumed > s.offered) return "consumed > offered";
+  if (s.accepted + s.dropped > s.offered)
+    return "accepted + dropped > offered";
+  if (s.drained_on_stop > s.consumed) return "drained_on_stop > consumed";
+  if (s.dropped_bytes > s.offered_bytes)
+    return "dropped_bytes > offered_bytes";
+  if (s.offered < prev.offered || s.accepted < prev.accepted ||
+      s.dropped < prev.dropped || s.consumed < prev.consumed ||
+      s.drained_on_stop < prev.drained_on_stop ||
+      s.abandoned < prev.abandoned || s.offered_bytes < prev.offered_bytes ||
+      s.dropped_bytes < prev.dropped_bytes)
+    return "a counter went backwards";
+  return nullptr;
+}
 
-  const auto pkt =
-      packet::PacketBuilder(Timestamp::from_nanos(1))
-          .udp(packet::Endpoint{packet::MacAddress::from_id(1),
-                                packet::Ipv4Address(10, 0, 0, 1), 1111},
-               packet::Endpoint{packet::MacAddress::from_id(2),
-                                packet::Ipv4Address(10, 0, 0, 2), 53})
-          .payload_size(32)
-          .build();
+// ShardedCaptureEngine::stats() merges per-shard snapshots, and the
+// header promises the live-sample inequalities hold for the sum as
+// well. Sample the merged stats from a third thread while a producer
+// offers and two real shard workers consume: every live snapshot must
+// satisfy consumed <= offered and accepted + dropped <= offered, with
+// all counters monotone. Exact equalities hold after stop().
+TEST(ShardedCaptureEngineConcurrency, LiveStatsSnapshotInvariants) {
+  constexpr std::size_t kShards = 2;
+  // A small ring so the producer outruns the workers and drops happen;
+  // a zero deadline drains to empty so nothing is abandoned.
+  ShardedCaptureEngine engine({.shards = kShards,
+                               .ring_capacity = 512,
+                               .stop_drain_deadline = Duration::millis(0)});
+  std::vector<std::uint64_t> sink_counts(kShards, 0);
+  engine.add_sink_factory([&](std::size_t shard) {
+    // Each shard's sink runs only on that shard's worker.
+    return [&sink_counts, shard](const DecodedPacket&) {
+      ++sink_counts[shard];
+    };
+  });
 
-  constexpr std::uint64_t kPackets = 300'000;
-  std::atomic<bool> producer_done{false};
-  std::atomic<bool> consumer_done{false};
+  // Distinct source ports so the 5-tuple hash spreads over both shards.
+  std::vector<packet::Packet> frames;
+  for (std::uint16_t port = 1000; port < 1064; ++port)
+    frames.push_back(
+        packet::PacketBuilder(Timestamp::from_nanos(1))
+            .udp(packet::Endpoint{packet::MacAddress::from_id(1),
+                                  packet::Ipv4Address(10, 0, 0, 1), port},
+                 packet::Endpoint{packet::MacAddress::from_id(2),
+                                  packet::Ipv4Address(10, 0, 0, 2), 53})
+            .payload_size(32)
+            .build());
 
+  constexpr std::uint64_t kPackets = 200'000;
+  std::atomic<bool> stopped{false};
+  std::uint64_t samples = 0;
+  std::string violation;
+
+  engine.start();
   std::thread producer([&] {
     for (std::uint64_t i = 0; i < kPackets; ++i)
-      engine.offer(pkt, sim::Direction::kInbound);
-    producer_done.store(true, std::memory_order_release);
+      engine.offer(frames[i % frames.size()], sim::Direction::kInbound);
   });
-  std::thread consumer([&] {
-    while (!producer_done.load(std::memory_order_acquire))
-      engine.poll(128);
-    engine.drain();
-    consumer_done.store(true, std::memory_order_release);
+  std::thread sampler([&] {
+    CaptureStats prev;
+    while (!stopped.load(std::memory_order_acquire)) {
+      const auto s = engine.stats();
+      ++samples;
+      if (const char* broken = live_violation(s, prev)) {
+        violation = broken;
+        return;
+      }
+      prev = s;
+      std::this_thread::yield();
+    }
   });
-
-  CaptureStats prev;
-  std::uint64_t samples = 0;
-  while (!consumer_done.load(std::memory_order_acquire)) {
-    const auto s = engine.stats();
-    ++samples;
-    ASSERT_LE(s.consumed, s.offered);
-    ASSERT_LE(s.accepted + s.dropped, s.offered);
-    ASSERT_LE(s.dropped_bytes, s.offered_bytes);
-    // Monotone between samples (single sampler thread).
-    ASSERT_GE(s.offered, prev.offered);
-    ASSERT_GE(s.accepted, prev.accepted);
-    ASSERT_GE(s.dropped, prev.dropped);
-    ASSERT_GE(s.consumed, prev.consumed);
-    prev = s;
-  }
   producer.join();
-  consumer.join();
-  EXPECT_GT(samples, 0u);
+  engine.stop();
+  stopped.store(true, std::memory_order_release);
+  sampler.join();
 
+  EXPECT_EQ(violation, "");
+  EXPECT_GT(samples, 0u);
   const auto end = engine.stats();
   EXPECT_EQ(end.offered, kPackets);
   EXPECT_EQ(end.offered, end.accepted + end.dropped);
+  EXPECT_EQ(end.abandoned, 0u);
   EXPECT_EQ(end.consumed, end.accepted);
-  EXPECT_EQ(sink_count, end.consumed);
+  std::uint64_t delivered = 0;
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    EXPECT_GT(engine.shard_stats(shard).offered, 0u) << "shard " << shard;
+    delivered += sink_counts[shard];
+  }
+  EXPECT_EQ(delivered, end.consumed);
 }
 
 }  // namespace

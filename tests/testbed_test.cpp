@@ -48,7 +48,7 @@ TEST(Testbed, ObserversSeeEveryCapturedPacket) {
   Testbed bed(cfg);
   std::uint64_t observed = 0;
   bed.add_observer(
-      [&](const capture::TaggedPacket&) { ++observed; });
+      [&](const capture::DecodedPacket&) { ++observed; });
   bed.run(Duration::seconds(5));
   EXPECT_EQ(observed, bed.capture_engine().stats().consumed);
   EXPECT_GT(observed, 500u);
