@@ -5,6 +5,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "campuslab/ml/column_sort.h"
+
 namespace campuslab::ml {
 
 namespace {
@@ -37,6 +39,7 @@ void GradientBoosted::fit(const Dataset& data) {
   std::vector<double> gradients(data.n_rows());
   std::vector<double> hessians(data.n_rows());
   Rng rng(config_.seed);
+  ColumnSorter sorter(data.n_rows());
 
   for (int round = 0; round < config_.n_rounds; ++round) {
     // Negative gradient of logloss: (y - p); hessian p(1-p).
@@ -54,7 +57,7 @@ void GradientBoosted::fit(const Dataset& data) {
         rows.push_back(i);
     if (rows.empty()) continue;
 
-    auto tree = fit_regression_tree(data, rows, gradients, hessians);
+    auto tree = fit_regression_tree(data, rows, gradients, hessians, sorter);
     // Update all scores (not just the subsample).
     for (std::size_t i = 0; i < data.n_rows(); ++i)
       score[i] += config_.learning_rate * tree.predict(data.row(i));
@@ -65,17 +68,19 @@ void GradientBoosted::fit(const Dataset& data) {
 GradientBoosted::RegressionTree GradientBoosted::fit_regression_tree(
     const Dataset& data, const std::vector<std::size_t>& rows,
     const std::vector<double>& gradients,
-    const std::vector<double>& hessians) const {
+    const std::vector<double>& hessians, ColumnSorter& sorter) const {
   RegressionTree tree;
   std::vector<std::size_t> working = rows;
-  build_regression_node(tree, data, working, gradients, hessians, 0);
+  build_regression_node(tree, data, working, gradients, hessians, 0,
+                        sorter);
   return tree;
 }
 
 int GradientBoosted::build_regression_node(
     RegressionTree& tree, const Dataset& data,
     std::vector<std::size_t>& rows, const std::vector<double>& gradients,
-    const std::vector<double>& hessians, int depth) const {
+    const std::vector<double>& hessians, int depth,
+    ColumnSorter& sorter) const {
   double grad_sum = 0.0, hess_sum = 0.0;
   for (const auto i : rows) {
     grad_sum += gradients[i];
@@ -96,13 +101,9 @@ int GradientBoosted::build_regression_node(
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-9;
-  std::vector<std::pair<double, std::size_t>> sorted;
-  sorted.reserve(rows.size());
 
   for (std::size_t f = 0; f < data.n_features(); ++f) {
-    sorted.clear();
-    for (const auto i : rows) sorted.emplace_back(data.row(i)[f], i);
-    std::sort(sorted.begin(), sorted.end());
+    const auto sorted = sorter.sort(data, rows, f);  // (value, row)
     if (sorted.front().first == sorted.back().first) continue;
 
     double left_grad = 0.0, left_hess = 0.0;
@@ -141,10 +142,10 @@ int GradientBoosted::build_regression_node(
   tree.nodes[static_cast<std::size_t>(node_index)].threshold =
       best_threshold;
   const int left = build_regression_node(tree, data, left_rows, gradients,
-                                         hessians, depth + 1);
+                                         hessians, depth + 1, sorter);
   tree.nodes[static_cast<std::size_t>(node_index)].left = left;
-  const int right = build_regression_node(tree, data, right_rows,
-                                          gradients, hessians, depth + 1);
+  const int right = build_regression_node(
+      tree, data, right_rows, gradients, hessians, depth + 1, sorter);
   tree.nodes[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }

@@ -87,9 +87,14 @@ std::vector<std::pair<double, double>> Dataset::feature_ranges() const {
 
 Dataset Dataset::subset(std::span<const std::size_t> indices) const {
   Dataset out(feature_names_, class_names_);
-  out.x_.reserve(indices.size() * n_features());
-  out.y_.reserve(indices.size());
-  for (const auto idx : indices) out.add(row(idx), y_[idx]);
+  const std::size_t width = n_features();
+  out.x_.resize(indices.size() * width);
+  out.y_.resize(indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const auto src = row(indices[k]);
+    std::copy(src.begin(), src.end(), out.x_.data() + k * width);
+    out.y_[k] = y_[indices[k]];
+  }
   return out;
 }
 

@@ -37,8 +37,10 @@ std::vector<double> RandomForest::predict_proba(
   std::vector<double> probs(static_cast<std::size_t>(n_classes_), 0.0);
   if (trees_.empty()) return probs;
   for (const auto& tree : trees_) {
-    const auto p = tree.predict_proba(x);
-    for (std::size_t c = 0; c < probs.size(); ++c) probs[c] += p[c];
+    const auto& leaf =
+        tree.nodes()[static_cast<std::size_t>(tree.decision_leaf(x))];
+    for (std::size_t c = 0; c < probs.size(); ++c)
+      probs[c] += leaf.class_probs[c];
   }
   for (auto& p : probs) p /= static_cast<double>(trees_.size());
   return probs;

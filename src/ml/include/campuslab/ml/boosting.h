@@ -16,6 +16,8 @@
 
 namespace campuslab::ml {
 
+class ColumnSorter;
+
 struct BoostConfig {
   int n_rounds = 80;
   double learning_rate = 0.15;
@@ -60,11 +62,12 @@ class GradientBoosted final : public Classifier {
   RegressionTree fit_regression_tree(
       const Dataset& data, const std::vector<std::size_t>& rows,
       const std::vector<double>& gradients,
-      const std::vector<double>& hessians) const;
+      const std::vector<double>& hessians, ColumnSorter& sorter) const;
   int build_regression_node(
       RegressionTree& tree, const Dataset& data,
       std::vector<std::size_t>& rows, const std::vector<double>& gradients,
-      const std::vector<double>& hessians, int depth) const;
+      const std::vector<double>& hessians, int depth,
+      ColumnSorter& sorter) const;
 
   BoostConfig config_;
   double base_score_ = 0.0;  // initial log-odds

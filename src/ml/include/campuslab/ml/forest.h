@@ -37,8 +37,9 @@ class RandomForest final : public Classifier {
   /// deployability trade-off (T-XAI).
   std::size_t total_nodes() const noexcept;
 
-  /// Mean-decrease-in-usage feature importance proxy: how often each
-  /// feature is used for splits, weighted by node sample counts.
+  /// Mean decrease in Gini impurity: each split credits its feature
+  /// with the sample-weighted impurity reduction it achieved; the
+  /// credits are normalized to sum to 1 when any split reduced it.
   std::vector<double> feature_importance() const;
 
  private:

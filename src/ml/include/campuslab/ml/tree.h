@@ -18,6 +18,8 @@
 
 namespace campuslab::ml {
 
+class ColumnSorter;
+
 struct TreeConfig {
   int max_depth = 8;
   std::size_t min_samples_leaf = 5;
@@ -45,8 +47,8 @@ class DecisionTree final : public Classifier {
  public:
   explicit DecisionTree(TreeConfig config = {}) : config_(config) {}
 
-  /// Fit on `data`; optional per-row weights (used by boosting and the
-  /// XAI extractor's resampling). `rng` is only consulted when
+  /// Fit on `data` with optional per-row weights (empty = all 1; no
+  /// learner in the library passes them). `rng` is only consulted when
   /// features_per_split > 0.
   void fit(const Dataset& data, Rng* rng = nullptr,
            std::span<const double> sample_weights = {});
@@ -86,10 +88,12 @@ class DecisionTree final : public Classifier {
   };
 
   int build(const Dataset& data, std::vector<std::size_t>& indices,
-            std::span<const double> weights, int depth, Rng* rng);
+            std::span<const double> weights, int depth, Rng* rng,
+            ColumnSorter& sorter);
   SplitDecision best_split(const Dataset& data,
                            const std::vector<std::size_t>& indices,
-                           std::span<const double> weights, Rng* rng) const;
+                           std::span<const double> weights, Rng* rng,
+                           ColumnSorter& sorter) const;
 
   TreeConfig config_;
   std::vector<TreeNode> nodes_;

@@ -4,9 +4,12 @@
 #include <cassert>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <tuple>
+
+#include "campuslab/ml/column_sort.h"
 
 namespace campuslab::ml {
 
@@ -42,13 +45,14 @@ void DecisionTree::fit(const Dataset& data, Rng* rng,
   }
   std::vector<std::size_t> indices(data.n_rows());
   std::iota(indices.begin(), indices.end(), std::size_t{0});
-  build(data, indices, weights, 0, rng);
+  ColumnSorter sorter(data.n_rows());
+  build(data, indices, weights, 0, rng, sorter);
 }
 
 int DecisionTree::build(const Dataset& data,
                         std::vector<std::size_t>& indices,
                         std::span<const double> weights, int depth,
-                        Rng* rng) {
+                        Rng* rng, ColumnSorter& sorter) {
   // Node class distribution.
   std::vector<double> counts(static_cast<std::size_t>(n_classes_), 0.0);
   double total = 0.0;
@@ -75,7 +79,7 @@ int DecisionTree::build(const Dataset& data,
     return node_index;  // leaf (feature stays kLeaf)
   }
 
-  const auto split = best_split(data, indices, weights, rng);
+  const auto split = best_split(data, indices, weights, rng, sorter);
   if (split.feature < 0 || split.gain < config_.min_gain)
     return node_index;
 
@@ -100,16 +104,17 @@ int DecisionTree::build(const Dataset& data,
   // Recurse; the vector may reallocate, so set fields via index.
   nodes_[static_cast<std::size_t>(node_index)].feature = split.feature;
   nodes_[static_cast<std::size_t>(node_index)].threshold = split.threshold;
-  const int left = build(data, left_idx, weights, depth + 1, rng);
+  const int left = build(data, left_idx, weights, depth + 1, rng, sorter);
   nodes_[static_cast<std::size_t>(node_index)].left = left;
-  const int right = build(data, right_idx, weights, depth + 1, rng);
+  const int right =
+      build(data, right_idx, weights, depth + 1, rng, sorter);
   nodes_[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }
 
 DecisionTree::SplitDecision DecisionTree::best_split(
     const Dataset& data, const std::vector<std::size_t>& indices,
-    std::span<const double> weights, Rng* rng) const {
+    std::span<const double> weights, Rng* rng, ColumnSorter& sorter) const {
   const std::size_t n_features = data.n_features();
 
   // Candidate features: all, or a random subset of size
@@ -137,15 +142,11 @@ DecisionTree::SplitDecision DecisionTree::best_split(
   const double parent_gini = gini(parent_counts, total_weight);
 
   SplitDecision best;
-  std::vector<std::pair<double, std::size_t>> sorted;  // (value, row)
-  sorted.reserve(indices.size());
   std::vector<double> left_counts(static_cast<std::size_t>(n_classes_));
 
   for (std::size_t fi = 0; fi < consider; ++fi) {
     const std::size_t f = features[fi];
-    sorted.clear();
-    for (const auto i : indices) sorted.emplace_back(data.row(i)[f], i);
-    std::sort(sorted.begin(), sorted.end());
+    const auto sorted = sorter.sort(data, indices, f);  // (value, row)
     if (sorted.front().first == sorted.back().first) continue;  // constant
 
     std::fill(left_counts.begin(), left_counts.end(), 0.0);
@@ -280,15 +281,24 @@ Result<DecisionTree> DecisionTree::deserialize(const std::string& text) {
   std::string line;
   if (!std::getline(in, line) || line != "campuslab-tree v1")
     return Error::make("format", "bad tree header");
-  std::size_t n_features = 0, n_nodes = 0;
-  int n_classes = 0;
+  // Counts are read signed, so a negative one is rejected rather than
+  // wrapped, and none may exceed the text's length: every name and
+  // every node takes at least one byte, so a forged count cannot drive
+  // an allocation.
+  long long n_classes = 0, n_features = 0, n_nodes = 0;
   if (!(in >> n_classes >> n_features >> n_nodes))
     return Error::make("format", "bad tree dimensions");
+  if (n_classes < 0 || n_features < 0 || n_nodes < 0)
+    return Error::make("format", "negative tree dimension");
+  const auto limit = static_cast<long long>(std::min<std::size_t>(
+      text.size(), std::numeric_limits<int>::max()));
+  if (n_classes > limit || n_features > limit || n_nodes > limit)
+    return Error::make("format", "tree dimension exceeds the text");
   std::getline(in, line);  // consume EOL
 
   DecisionTree tree;
-  tree.n_classes_ = n_classes;
-  tree.feature_names_.resize(n_features);
+  tree.n_classes_ = static_cast<int>(n_classes);
+  tree.feature_names_.resize(static_cast<std::size_t>(n_features));
   for (auto& name : tree.feature_names_)
     if (!std::getline(in, name))
       return Error::make("format", "missing feature name");
@@ -296,20 +306,22 @@ Result<DecisionTree> DecisionTree::deserialize(const std::string& text) {
   for (auto& name : tree.class_names_)
     if (!std::getline(in, name))
       return Error::make("format", "missing class name");
-  tree.nodes_.resize(n_nodes);
-  for (auto& node : tree.nodes_) {
+  for (int i = 0; i < n_nodes; ++i) {
+    auto& node = tree.nodes_.emplace_back();
     if (!(in >> node.feature >> node.threshold >> node.left >> node.right >>
           node.samples))
       return Error::make("format", "bad node row");
     node.class_probs.resize(static_cast<std::size_t>(n_classes));
     for (auto& p : node.class_probs)
       if (!(in >> p)) return Error::make("format", "bad node probs");
-    if (!node.is_leaf()) {
-      const auto limit = static_cast<int>(n_nodes);
-      if (node.left < 0 || node.left >= limit || node.right < 0 ||
-          node.right >= limit)
-        return Error::make("format", "child index out of range");
-    }
+    if (node.feature < TreeNode::kLeaf || node.feature >= n_features)
+      return Error::make("format", "split feature out of range");
+    // build() numbers nodes in pre-order, so both children follow their
+    // parent. Requiring that also rules out a cycle, on which a tree
+    // walk would never reach a leaf.
+    if (!node.is_leaf() && (node.left <= i || node.left >= n_nodes ||
+                            node.right <= i || node.right >= n_nodes))
+      return Error::make("format", "child index out of range");
   }
   if (tree.nodes_.empty())
     return Error::make("format", "tree has no nodes");

@@ -10,6 +10,7 @@
 // replays from (seed, iteration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -247,6 +248,23 @@ TEST(RegistryCorruption, ResealedMutationStorm) {
           << r.error().code << " (" << r.error().message << ")";
     }
   }
+}
+
+// A resealed file whose student tree has a self-loop (node 0 is its own
+// left child): the tree decoder must reject it, so the registry never
+// hands FastLoop::deploy a tree whose walk would not reach a leaf.
+TEST(RegistryCorruption, CyclicStudentTreeIsCorrupt) {
+  Rng rng(66);
+  auto file = valid_file(rng, 1);
+  const std::string root = "0 3.5 1 2 100";
+  const auto at =
+      std::search(file.begin(), file.end(), root.begin(), root.end());
+  ASSERT_NE(at, file.end());
+  at[6] = '0';  // "0 3.5 1 ..." -> "0 3.5 0 ...": left child 1 becomes 0
+  reseal(file);
+  const auto r = decode_registry(file);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, "registry_corrupt");
 }
 
 // ModelRegistry::open over arbitrarily mutated files: never a crash,
