@@ -52,6 +52,9 @@
 namespace campuslab::control {
 
 inline constexpr std::uint8_t kModelRegistryFormatVersion = 1;
+/// Entries retained per registry file; publish() prunes the oldest
+/// unpromoted versions past it (the active version is always kept).
+inline constexpr std::size_t kRegistryRetainedEntries = 16;
 
 /// One versioned model. `package` carries the deployable subset
 /// (task, student tree, quantizer, strategy, resources); the trust
@@ -153,10 +156,6 @@ class ModelRegistry {
   const std::vector<AuditEvent>& audit_trail() const noexcept {
     return audit_;
   }
-  /// Entries retained per registry file; older unpromoted versions are
-  /// pruned at publish() (the active version is always retained).
-  std::size_t max_entries = 16;
-
  private:
   ModelRegistry() = default;
 

@@ -11,6 +11,7 @@
 #include "campuslab/resilience/fault.h"
 #include "campuslab/util/bytes.h"
 #include "campuslab/util/codec.h"
+#include "campuslab/util/file.h"
 #include "campuslab/util/hash.h"
 
 namespace campuslab::control {
@@ -23,6 +24,8 @@ constexpr std::uint8_t kMagic[8] = {'C', 'L', 'M', 'R',
                                     'G', '0', '1', '\n'};
 constexpr std::size_t kHeaderBytes = 8 + 1 + 1 + 2 + 4 + 8 + 8;
 constexpr std::uint64_t kMaxEntries = 4096;
+static_assert(kRegistryRetainedEntries <= kMaxEntries,
+              "publish() must never write a registry decode rejects");
 constexpr std::uint64_t kMaxFeatures = 4096;
 constexpr std::uint64_t kMaxStringBytes = 1u << 20;
 
@@ -40,25 +43,8 @@ struct RegistryMetrics {
   }
 };
 
-void put_string(ByteWriter& w, std::string_view s) {
-  util::put_varint(w, s.size());
-  w.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-}
-
 void put_double(ByteWriter& w, double v) {
   w.u64(std::bit_cast<std::uint64_t>(v));
-}
-
-bool read_string(util::VarintDecoder& d, std::string& out) {
-  const std::uint64_t len = d.varint_at_most(kMaxStringBytes);
-  if (d.failed) return false;
-  const auto bytes = d.r.bytes(static_cast<std::size_t>(len));
-  if (!d.r.ok()) {
-    d.failed = true;
-    return false;
-  }
-  out.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  return true;
 }
 
 double read_double(util::VarintDecoder& d) {
@@ -102,7 +88,7 @@ std::vector<std::uint8_t> encode_registry(const RegistryFile& file) {
     put_double(payload, entry.incumbent_accuracy);
 
     const auto& task = entry.package.task;
-    put_string(payload, task.name);
+    util::put_string(payload, task.name);
     payload.u8(static_cast<std::uint8_t>(task.event));
     put_double(payload, task.confidence_threshold);
     payload.u8(static_cast<std::uint8_t>(task.action));
@@ -122,7 +108,7 @@ std::vector<std::uint8_t> encode_registry(const RegistryFile& file) {
       put_double(payload, q.lo(f));
       put_double(payload, q.step(f));
     }
-    put_string(payload, entry.package.student.serialize());
+    util::put_string(payload, entry.package.student.serialize());
   }
 
   const auto body = std::move(payload).take();
@@ -196,8 +182,8 @@ Result<RegistryFile> decode_registry(std::span<const std::uint8_t> bytes) {
     entry.candidate_accuracy = read_double(d);
     entry.incumbent_accuracy = read_double(d);
 
-    if (!read_string(d, entry.package.task.name))
-      return corrupt("bad task name");
+    entry.package.task.name = util::get_string(d, kMaxStringBytes);
+    if (d.failed) return corrupt("bad task name");
     const std::uint8_t event = d.r.u8();
     if (event >= packet::kTrafficLabelCount)
       return corrupt("task event label out of range");
@@ -235,8 +221,8 @@ Result<RegistryFile> decode_registry(std::span<const std::uint8_t> bytes) {
     entry.package.quantizer =
         dataplane::Quantizer::from_levels(std::move(lo), std::move(step));
 
-    std::string tree_text;
-    if (!read_string(d, tree_text)) return corrupt("bad student tree blob");
+    const auto tree_text = util::get_string(d, kMaxStringBytes);
+    if (d.failed) return corrupt("bad student tree blob");
     auto tree = ml::DecisionTree::deserialize(tree_text);
     if (!tree.ok())
       return corrupt("student tree rejected: " + tree.error().message);
@@ -264,30 +250,10 @@ Status write_registry_file(const RegistryFile& file,
                            const std::string& path) {
   if (auto s = resilience::fault_point_status("control.registry"); !s.ok())
     return s;
-  const auto bytes = encode_registry(file);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      return Error::make("registry_io", "cannot create " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return Error::make("registry_io", "short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Error::make("registry_io",
-                       "cannot rename " + tmp + " -> " + path);
-  }
-  RegistryMetrics::get().persists.increment();
-  return Status::success();
+  auto s = util::write_file_atomically(path, encode_registry(file),
+                                       "registry_io");
+  if (s.ok()) RegistryMetrics::get().persists.increment();
+  return s;
 }
 
 Result<RegistryFile> read_registry_file(const std::string& path) {
@@ -450,7 +416,7 @@ Status ModelRegistry::publish(RegistryEntry entry,
   const auto version = entry.version;
   state_.entries.push_back(std::move(entry));
   // Prune oldest non-active entries past the retention cap.
-  while (state_.entries.size() > std::max<std::size_t>(max_entries, 1)) {
+  while (state_.entries.size() > kRegistryRetainedEntries) {
     auto victim = state_.entries.end();
     for (auto it = state_.entries.begin(); it != state_.entries.end(); ++it) {
       if (it->version != state_.active_version) {

@@ -31,8 +31,8 @@
 // otherwise corrupt file yields a clean util::Result error with a
 // stable code ("segment_magic", "segment_version", "segment_truncated",
 // "segment_checksum", "segment_corrupt", "io") — never a crash, an
-// out-of-bounds read, or silently wrong rows. The corruption fuzz
-// suite (segment_corruption_test) pins this under ASAN.
+// out-of-bounds read, or silently wrong rows. The framed-format
+// corruption harness (framed_corruption_test) pins this under ASAN.
 #pragma once
 
 #include <array>

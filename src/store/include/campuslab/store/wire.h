@@ -29,9 +29,9 @@
 // length can never drive an allocation), and every body must be
 // consumed exactly. Malformed input yields a stable error code —
 // wire_magic, wire_version, wire_flags, wire_type, wire_oversize,
-// wire_truncated, wire_checksum, wire_corrupt — never UB. The fuzz
-// suite (shard_wire_fuzz_test) holds this under ASAN; the golden
-// fixture tests/data/golden_shard_rpc_v2.bin pins the byte format.
+// wire_truncated, wire_checksum, wire_corrupt — never UB. The
+// corruption harness (framed_corruption_test) holds this under ASAN;
+// the golden fixture tests/data/golden_shard_rpc_v2.bin pins the bytes.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +80,7 @@ enum class MsgType : std::uint8_t {
   kError = 127,
 };
 
-/// True for the MsgType values a v1 peer may send.
+/// True for the MsgType values a v2 peer may send.
 bool valid_type(std::uint8_t type) noexcept;
 
 struct FrameHeader {

@@ -10,6 +10,7 @@
 #include "campuslab/obs/stage_timer.h"
 #include "campuslab/util/bytes.h"
 #include "campuslab/util/codec.h"
+#include "campuslab/util/file.h"
 #include "campuslab/util/hash.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -563,27 +564,8 @@ Result<SegmentFileInfo> write_segment_file(const Segment& segment,
                                            const std::string& path) {
   SegmentFileInfo info;
   const auto bytes = encode_segment(segment, &info);
-  // Write-then-rename: a crash mid-spill leaves a stale .tmp, never a
-  // half-written segment the reader could mistake for data.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Error::make("io", "cannot create " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp, ec);
-      return Error::make("io", "short write to " + tmp);
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return Error::make("io", "cannot rename " + tmp + " -> " + path);
-  }
+  if (auto s = util::write_file_atomically(path, bytes, "io"); !s.ok())
+    return s.error();
   return info;
 }
 

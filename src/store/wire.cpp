@@ -13,6 +13,8 @@ namespace campuslab::store::wire {
 namespace {
 
 using util::fnv1a;
+using util::get_string;
+using util::put_string;
 using util::put_varint;
 using util::unzigzag;
 using util::zigzag;
@@ -35,23 +37,6 @@ std::int64_t undelta_zz(std::uint64_t coded, std::int64_t base) noexcept {
   return static_cast<std::int64_t>(
       static_cast<std::uint64_t>(base) +
       static_cast<std::uint64_t>(unzigzag(coded)));
-}
-
-void put_string(ByteWriter& w, const std::string& s) {
-  put_varint(w, s.size());
-  w.bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-}
-
-std::string get_string(Decoder& d) {
-  const std::uint64_t len = d.varint_at_most(d.r.remaining());
-  if (d.failed) return {};
-  const auto view = d.r.bytes(static_cast<std::size_t>(len));
-  if (!d.r.ok()) {
-    d.failed = true;
-    return {};
-  }
-  return std::string(view.begin(), view.end());
 }
 
 // --- StoredFlow batch ----------------------------------------------

@@ -1,9 +1,9 @@
-// Shared variable-length integer codecs.
+// Shared variable-length codecs.
 //
-// LEB128 varints, zigzag signed mapping, and a sticky-failure varint
-// decoder — the primitives both durable formats use: the CLSEG01
-// columnar segment file (store/segment_file.cpp) and the CLRP01 shard
-// wire protocol (store/wire.cpp). One implementation means one set of
+// LEB128 varints, zigzag signed mapping, a sticky-failure varint
+// decoder and the varint-length string codec — the primitives all three
+// framed formats use: CLSEG01 segment files, the CLRP01 shard wire and
+// the CLMRG01 model registry. One implementation means one set of
 // totality guarantees: a varint is rejected as overlong past 10 bytes
 // or non-minimal in its final byte, every read is bounds-checked
 // through ByteReader, and failure is sticky so callers validate once
@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
+#include <string_view>
 
 #include "campuslab/util/bytes.h"
 
@@ -72,5 +74,24 @@ struct VarintDecoder {
     return failed ? 0 : v;
   }
 };
+
+/// Append `s` as its varint byte count, then its bytes.
+inline void put_string(ByteWriter& w, std::string_view s) {
+  put_varint(w, s.size());
+  w.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+}
+
+/// Read a put_string() string of at most `max_len` bytes. A longer,
+/// malformed or truncated one poisons the decoder and reads as empty.
+inline std::string get_string(VarintDecoder& d,
+                              std::uint64_t max_len = ~std::uint64_t{0}) {
+  const std::uint64_t len = d.varint_at_most(max_len);
+  const auto bytes = d.r.bytes(static_cast<std::size_t>(len));
+  if (d.failed || !d.r.ok()) {
+    d.failed = true;
+    return {};
+  }
+  return std::string(bytes.begin(), bytes.end());
+}
 
 }  // namespace campuslab::util

@@ -2,7 +2,8 @@
 //
 // FNV-1a (64-bit) is CampusLab's workhorse non-cryptographic hash: the
 // capture spreader uses it to shard frames that carry no 5-tuple, the
-// segment-file format uses it for header and payload checksums, the
+// three framed formats (CLSEG01 segment files, the CLRP01 wire and the
+// CLMRG01 registry) use it for header and payload checksums, the
 // fault injector salts per-site decisions with it, and the store
 // cluster's consistent-hash ring places keyspace slices with it. All of
 // those used to carry private copies; they now share these functions,

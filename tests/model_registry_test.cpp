@@ -137,8 +137,8 @@ TEST(RegistryCodec, RejectsForeignMagicWithStableCode) {
 TEST(RegistryCodec, RejectsFutureVersionWithStableCode) {
   auto bytes = encode_registry(RegistryFile{});
   bytes[8] = kModelRegistryFormatVersion + 1;
-  // Header checksum covers the version byte; reseal it so the version
-  // check itself is what fires.
+  // The version is checked before the header checksum that covers it,
+  // so no reseal is needed for the version check to fire.
   auto decoded = decode_registry(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code, "registry_version");
@@ -271,12 +271,12 @@ TEST(ModelRegistry, VersionsMustAscend) {
 TEST(ModelRegistry, PruneKeepsTheActiveVersion) {
   auto reg = ModelRegistry::open("");
   ASSERT_TRUE(reg.ok());
-  reg.value().max_entries = 3;
   ASSERT_TRUE(reg.value().publish(make_entry(1)).ok());
   ASSERT_TRUE(reg.value().promote(1, Timestamp::from_nanos(1)).ok());
-  for (std::uint32_t v = 2; v <= 6; ++v)
+  const auto last = static_cast<std::uint32_t>(kRegistryRetainedEntries + 5);
+  for (std::uint32_t v = 2; v <= last; ++v)
     ASSERT_TRUE(reg.value().publish(make_entry(v)).ok());
-  EXPECT_EQ(reg.value().entries().size(), 3u);
+  EXPECT_EQ(reg.value().entries().size(), kRegistryRetainedEntries);
   EXPECT_NE(reg.value().find(1), nullptr)
       << "pruning evicted the active version";
   EXPECT_EQ(reg.value().active_version(), 1u);

@@ -1,16 +1,23 @@
 // Unit tests for campuslab::util — Result/Status, RNG determinism and
 // distribution sanity, byte reader/writer round-trips and bounds
-// behaviour, time arithmetic, and streaming statistics.
+// behaviour, the string codec, write-then-rename, time arithmetic, and
+// streaming statistics.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "campuslab/util/bytes.h"
+#include "campuslab/util/codec.h"
+#include "campuslab/util/file.h"
 #include "campuslab/util/hash.h"
 #include "campuslab/util/result.h"
 #include "campuslab/util/rng.h"
@@ -215,6 +222,86 @@ TEST(Bytes, ZerosFill) {
   w.zeros(4);
   EXPECT_EQ(w.size(), 4u);
   for (auto b : w.view()) EXPECT_EQ(b, 0);
+}
+
+// ---------------------------------------------------------- String codec
+
+TEST(StringCodec, RoundTripsWithinItsLengthBound) {
+  const std::string longer(300, 'x');  // a two-byte length varint
+  ByteWriter w;
+  util::put_string(w, "");
+  util::put_string(w, "campus");
+  util::put_string(w, longer);
+  util::VarintDecoder d(w.view());
+  EXPECT_EQ(util::get_string(d), "");
+  EXPECT_EQ(util::get_string(d, 6), "campus");  // the bound is inclusive
+  EXPECT_EQ(util::get_string(d, longer.size()), longer);
+  EXPECT_FALSE(d.failed);
+  EXPECT_EQ(d.r.remaining(), 0u);
+
+  util::VarintDecoder bounded(w.view().subspan(1));  // at "campus"
+  EXPECT_EQ(util::get_string(bounded, 5), "");
+  EXPECT_TRUE(bounded.failed);
+}
+
+TEST(StringCodec, TruncatedStringPoisonsTheDecoder) {
+  ByteWriter w;
+  util::put_string(w, "campus");
+  for (std::size_t len = 0; len < w.size(); ++len) {
+    util::VarintDecoder d(w.view().first(len));
+    EXPECT_EQ(util::get_string(d), "") << len;
+    EXPECT_TRUE(d.failed) << len;
+    d.varint();  // sticky: later reads cannot clear it
+    EXPECT_TRUE(d.failed) << len;
+  }
+}
+
+// ----------------------------------------------------- Write-then-rename
+
+std::filesystem::path fresh_dir(const char* name) {
+  const auto dir = std::filesystem::path(::testing::TempDir()) / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(WriteFileAtomically, ReplacesAnExistingFile) {
+  const auto dir = fresh_dir("campuslab_atomic_replace");
+  const std::string path = (dir / "state.bin").string();
+  const std::vector<std::uint8_t> first{1, 2, 3, 4}, second{9, 8};
+  ASSERT_TRUE(util::write_file_atomically(path, first, "io").ok());
+  ASSERT_TRUE(util::write_file_atomically(path, second, "io").ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<std::uint8_t> got{std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()};
+  EXPECT_EQ(got, second);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(WriteFileAtomically, FailuresReturnTheCallersCodeAndLeaveNoTmp) {
+  const auto dir = fresh_dir("campuslab_atomic_fail");
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+
+  // A missing directory: the .tmp cannot be created.
+  const std::string missing = (dir / "absent" / "state.bin").string();
+  auto s = util::write_file_atomically(missing, bytes, "registry_io");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "registry_io");
+  EXPECT_NE(s.error().message.find("cannot create"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
+
+  // A non-empty directory in the way: the write succeeds, the rename
+  // fails, and the .tmp is removed.
+  const auto blocked = dir / "blocked";
+  std::filesystem::create_directories(blocked / "child");
+  s = util::write_file_atomically(blocked.string(), bytes, "io");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.error().code, "io");
+  EXPECT_NE(s.error().message.find("cannot rename"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(blocked.string() + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(blocked / "child"));
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------------ Time
