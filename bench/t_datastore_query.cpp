@@ -352,15 +352,9 @@ double print_storage_tier_table() {
       store::StoredFlow stored{id++, random_flow(crng, i * 0.01)};
       seg.min_ts = std::min(seg.min_ts, stored.flow.first_ts);
       seg.max_ts = std::max(seg.max_ts, stored.flow.last_ts);
-      const auto off = static_cast<std::uint32_t>(seg.flows.size());
       seg.flows.push_back(stored);
-      seg.by_host[stored.flow.tuple.src.value()].push_back(off);
-      seg.by_host[stored.flow.tuple.dst.value()].push_back(off);
-      seg.by_port[stored.flow.tuple.dst_port].push_back(off);
-      seg.by_label[static_cast<std::size_t>(
-                       stored.flow.majority_label())].push_back(off);
     }
-    seg.sealed = true;
+    seg.seal();
     store::SegmentFileInfo info;
     store::encode_segment(seg, &info);
     std::printf("\n== per-column compression (one %u-flow segment) ==\n",

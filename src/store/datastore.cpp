@@ -1,7 +1,9 @@
 #include "campuslab/store/datastore.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
+#include <numeric>
 
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
@@ -50,7 +52,62 @@ struct StoreMetrics {
     rows_returned.add(rows);
   }
 };
+
+// Fill `index` from (key << 32 | row) pairs listed in row order. A
+// stable LSD radix sort on the key bytes orders keys ascending and
+// keeps rows ascending within a key, which is the order the CLSEG01
+// index section stores. A pass whose byte is the same in every pair
+// moves nothing and is skipped.
+template <typename Key>
+void build_index(PostingIndex<Key>& index,
+                 std::vector<std::uint64_t>& pairs) {
+  std::vector<std::uint64_t> sorted(pairs.size());
+  for (unsigned shift = 32; shift < 32 + 8 * sizeof(Key); shift += 8) {
+    std::array<std::size_t, 257> next{};
+    for (const std::uint64_t pair : pairs)
+      ++next[((pair >> shift) & 0xFF) + 1];
+    if (std::find(next.begin() + 1, next.end(), pairs.size()) != next.end())
+      continue;
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (const std::uint64_t pair : pairs)
+      sorted[next[(pair >> shift) & 0xFF]++] = pair;
+    pairs.swap(sorted);
+  }
+  index.rows.reserve(pairs.size());
+  for (const std::uint64_t pair : pairs) {
+    const auto key = static_cast<Key>(pair >> 32);
+    if (index.keys.empty() || index.keys.back() != key) {
+      index.keys.push_back(key);
+      index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
+    }
+    index.rows.push_back(static_cast<std::uint32_t>(pair));
+  }
+  index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
+}
+
 }  // namespace
+
+void Segment::seal() {
+  const auto n = static_cast<std::uint32_t>(flows.size());
+  std::vector<std::uint64_t> hosts;
+  std::vector<std::uint64_t> ports;
+  hosts.reserve(static_cast<std::size_t>(n) * 2);
+  ports.reserve(static_cast<std::size_t>(n) * 2);
+  for (std::uint32_t row = 0; row < n; ++row) {
+    const auto& f = flows[row].flow;
+    const auto pair = [row](std::uint64_t key) { return key << 32 | row; };
+    hosts.push_back(pair(f.tuple.src.value()));
+    if (f.tuple.dst != f.tuple.src)
+      hosts.push_back(pair(f.tuple.dst.value()));
+    ports.push_back(pair(f.tuple.src_port));
+    if (f.tuple.dst_port != f.tuple.src_port)
+      ports.push_back(pair(f.tuple.dst_port));
+    by_label[static_cast<std::size_t>(f.majority_label())].push_back(row);
+  }
+  build_index(by_host, hosts);
+  build_index(by_port, ports);
+  sealed = true;
+}
 
 DataStore::DataStore(DataStoreConfig config) : config_(config) {
   if (config_.segment_flows == 0) config_.segment_flows = 1;
@@ -77,19 +134,6 @@ Segment& DataStore::open_segment_locked() {
   return *segments_.back().hot;
 }
 
-void DataStore::index_flow(Segment& seg, const StoredFlow& stored,
-                           std::uint32_t offset) {
-  const auto& f = stored.flow;
-  seg.by_host[f.tuple.src.value()].push_back(offset);
-  if (f.tuple.dst != f.tuple.src)
-    seg.by_host[f.tuple.dst.value()].push_back(offset);
-  seg.by_port[f.tuple.src_port].push_back(offset);
-  if (f.tuple.dst_port != f.tuple.src_port)
-    seg.by_port[f.tuple.dst_port].push_back(offset);
-  seg.by_label[static_cast<std::size_t>(f.majority_label())].push_back(
-      offset);
-}
-
 std::uint64_t DataStore::ingest(const capture::FlowRecord& flow) {
   return ingest(StoredFlow{0, flow});
 }
@@ -114,16 +158,14 @@ std::uint64_t DataStore::ingest(const StoredFlow& row) {
 
     seg.min_ts = std::min(seg.min_ts, stored.flow.first_ts);
     seg.max_ts = std::max(seg.max_ts, stored.flow.last_ts);
-    const auto offset = static_cast<std::uint32_t>(seg.flows.size());
     // push_back never reallocates: capacity was reserved up front and
     // the segment seals exactly at capacity (snapshot.h relies on this).
     seg.flows.push_back(std::move(stored));
-    index_flow(seg, seg.flows.back(), offset);
 
     total_flows_.fetch_add(1, std::memory_order_release);
     ++label_counts_[static_cast<std::size_t>(row.flow.majority_label())];
     if (seg.flows.size() >= config_.segment_flows) {
-      seg.sealed = true;
+      seg.seal();
       sealed_now = true;
     }
     id = seg.flows.back().id;
@@ -145,6 +187,8 @@ StoreSnapshot DataStore::snapshot_locked() const {
   for (const auto& tier : segments_) {
     if (tier.hot != nullptr) {
       if (tier.hot->flows.empty()) continue;
+      // `indexed` is read under the mutex seal() runs under, so a pin
+      // never sees a half-built index.
       pins.push_back(PinnedSegment{
           tier.hot, static_cast<std::uint32_t>(tier.hot->flows.size()),
           tier.hot->sealed, nullptr});

@@ -169,8 +169,6 @@ class DataStore {
 
   Segment& open_segment_locked();
   StoreSnapshot snapshot_locked() const;
-  static void index_flow(Segment& seg, const StoredFlow& stored,
-                         std::uint32_t offset);
   ScanPool* configured_pool() const;
   /// Serialize one sealed hot segment and swap it cold. False = the
   /// write kept failing and the segment stays hot.

@@ -12,6 +12,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "campuslab/store/snapshot.h"
@@ -165,7 +167,8 @@ class QueryCursor {
   bool segment_open_ = false;
   const Segment* segment_ = nullptr;
   std::uint32_t count_ = 0;  // pinned rows of the open segment
-  const std::vector<std::uint32_t>* candidates_ = nullptr;
+  // The open segment's index rows; nullopt = scan its pinned prefix.
+  std::optional<std::span<const std::uint32_t>> candidates_;
   std::size_t pos_ = 0;
   std::uint64_t produced_ = 0;
 };

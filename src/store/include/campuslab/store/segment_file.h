@@ -88,21 +88,25 @@ inline constexpr std::size_t kSegmentFileHeaderBytes =
     8 * packet::kTrafficLabelCount +                       // zone labels
     8;                                                     // header fnv
 
-/// Serialize a segment (sealed or not — the caller pins what "all of
-/// it" means; the store only ever spills sealed segments) to a byte
-/// buffer. Deterministic: the same segment always encodes to the same
-/// bytes, which is what the golden-format fixture pins.
+/// Serialize a sealed segment to a byte buffer; the index sections
+/// hold the index seal() built (an unsealed segment has none).
+/// Deterministic: the same segment always encodes to the same bytes,
+/// which is what the golden-format fixture pins.
 std::vector<std::uint8_t> encode_segment(const Segment& segment,
                                          SegmentFileInfo* info = nullptr);
 
 /// Estimated hot-tier footprint of a segment: the flow array at its
-/// reserved capacity plus the inverted-index postings and hash-node
-/// overhead. This is the quantity the hot-bytes budget meters.
+/// reserved capacity, 4 B per index posting, and 48 B per host or port
+/// key. The 48 B is the hot budget's per-key charge, more than the flat
+/// index really costs; it is kept so that which segments stay hot does
+/// not change. This is the quantity the hot-bytes budget meters; an
+/// unsealed segment has no index and is charged for its flow array.
 std::uint64_t segment_memory_bytes(const Segment& segment) noexcept;
 
 /// Decode a full file image back into a Segment. The result is sealed,
 /// indexed, and bit-identical (flows, ids, indexes, time bounds) to
-/// the segment that was encoded.
+/// the segment that was encoded. The index sections are read straight
+/// into the flat PostingIndex arrays, with no allocation per key.
 Result<std::shared_ptr<Segment>> decode_segment(
     std::span<const std::uint8_t> file);
 

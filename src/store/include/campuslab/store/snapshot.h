@@ -20,19 +20,51 @@
 // them visible); the writer only ever touches elements >= count and
 // the vector's own bookkeeping, which pinned readers never look at —
 // readers go through `flows.data()`, never `size()` or iterators.
-// The inverted indexes are consulted only when the segment was sealed
-// at pin time (an open segment's indexes are still being built).
+// The inverted indexes exist only once a segment is sealed: seal()
+// builds them under the store mutex before setting `sealed`, and a
+// reader consults them only when the segment was sealed at pin time.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "campuslab/store/query.h"
 
 namespace campuslab::store {
+
+/// A sealed segment's inverted index on one key column, as three flat
+/// arrays: `keys` strictly ascending, and key i's rows (offsets into
+/// the segment's `flows`, strictly ascending) are
+/// rows[starts[i], starts[i+1]). `starts` has keys.size() + 1 entries
+/// once built. Segment::seal() builds it from the rows; decode_segment
+/// reads it straight out of a CLSEG01 index section, which stores the
+/// same keys and rows in the same order.
+template <typename Key>
+struct PostingIndex {
+  using key_type = Key;
+
+  std::vector<Key> keys;
+  std::vector<std::uint32_t> starts;
+  std::vector<std::uint32_t> rows;
+
+  std::size_t size() const noexcept { return keys.size(); }
+
+  /// Rows of the i-th key, i < size().
+  std::span<const std::uint32_t> postings(std::size_t i) const noexcept {
+    return {rows.data() + starts[i], rows.data() + starts[i + 1]};
+  }
+
+  /// Rows holding `key`; empty when the key is absent.
+  std::span<const std::uint32_t> find(Key key) const noexcept {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || *it != key) return {};
+    return postings(static_cast<std::size_t>(it - keys.begin()));
+  }
+};
 
 /// One time-partitioned storage unit.
 struct Segment {
@@ -42,14 +74,20 @@ struct Segment {
     max_ts = Timestamp::from_nanos(std::numeric_limits<std::int64_t>::min());
   }
 
+  /// Build the inverted indexes from `flows`, then mark the segment
+  /// sealed. Each row is listed under its src host, and under its dst
+  /// host when that differs; under its src port, and under its dst port
+  /// when that differs; and under its majority label. Called once: the
+  /// store calls it under its mutex when the segment fills.
+  void seal();
+
   std::vector<StoredFlow> flows;  // append-only; never reallocates
   bool sealed = false;
   Timestamp min_ts;  // min first_ts / max last_ts — stable once sealed
   Timestamp max_ts;
-  // Local inverted indexes: value = offset into `flows`, ascending.
-  // Complete (and safe to read) only once sealed.
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> by_host;
-  std::unordered_map<std::uint16_t, std::vector<std::uint32_t>> by_port;
+  // Local inverted indexes, empty until seal().
+  PostingIndex<std::uint32_t> by_host;
+  PostingIndex<std::uint16_t> by_port;
   std::array<std::vector<std::uint32_t>, packet::kTrafficLabelCount>
       by_label;
 };

@@ -1,6 +1,8 @@
 #include "campuslab/store/query_engine.h"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "campuslab/store/segment_file.h"
@@ -97,9 +99,12 @@ struct ColdStats {
   std::size_t load_failures = 0;
 };
 
+// The rows an index lists for one pinned segment, viewed in place;
+// nullopt = no index applies, scan the pinned prefix.
+using Candidates = std::optional<std::span<const std::uint32_t>>;
+
 // Resolve the access path for one pinned segment: false = the segment
-// contributes nothing (time-pruned or index miss). `candidates`
-// nullptr = linear scan of the pinned prefix.
+// contributes nothing (time-pruned or index miss).
 //
 // Cold pins resolve here: the zone map prunes the whole file against
 // the query's time bounds before any I/O; a surviving file is decoded
@@ -111,10 +116,9 @@ struct ColdStats {
 // failure (corrupt or vanished file) contributes zero rows and a
 // cold_load_failures tick, never UB.
 bool open_segment_scan(PinnedSegment& pin, const FlowQuery& q,
-                       IndexKind plan,
-                       const std::vector<std::uint32_t>*& candidates,
+                       IndexKind plan, Candidates& candidates,
                        ColdStats& cold) {
-  candidates = nullptr;
+  candidates.reset();
   if (pin.count == 0) return false;
   if (pin.segment == nullptr) {
     if (pin.cold == nullptr) return false;
@@ -141,20 +145,17 @@ bool open_segment_scan(PinnedSegment& pin, const FlowQuery& q,
     switch (plan) {
       case IndexKind::kHost: {
         const auto addr = q.host ? *q.host : (q.src ? *q.src : *q.dst);
-        const auto it = seg.by_host.find(addr.value());
-        if (it == seg.by_host.end()) return false;
-        candidates = &it->second;
+        candidates = seg.by_host.find(addr.value());
+        if (candidates->empty()) return false;
         break;
       }
       case IndexKind::kLabel:
-        candidates = &seg.by_label[static_cast<std::size_t>(*q.label)];
+        candidates = seg.by_label[static_cast<std::size_t>(*q.label)];
         break;
-      case IndexKind::kPort: {
-        const auto it = seg.by_port.find(*q.port);
-        if (it == seg.by_port.end()) return false;
-        candidates = &it->second;
+      case IndexKind::kPort:
+        candidates = seg.by_port.find(*q.port);
+        if (candidates->empty()) return false;
         break;
-      }
       case IndexKind::kTimeScan:
         break;
     }
@@ -172,13 +173,13 @@ struct SegmentScan {
 
 void scan_segment(PinnedSegment& pin, const FlowQuery& q,
                   IndexKind plan, std::size_t limit, SegmentScan& out) {
-  const std::vector<std::uint32_t>* candidates = nullptr;
+  Candidates candidates;
   if (!open_segment_scan(pin, q, plan, candidates, out.cold)) return;
   out.scanned = true;
   // data() + pinned count, never size()/iterators: the open tail may
   // be appending concurrently (snapshot.h).
   const StoredFlow* flows = pin.segment->flows.data();
-  if (candidates != nullptr) {
+  if (candidates) {
     out.index_hits = candidates->size();
     for (const auto offset : *candidates) {
       const auto& stored = flows[offset];
@@ -277,7 +278,7 @@ AggregateResult execute_aggregate(StoreSnapshot snapshot,
   auto aggregate_segment = [&](std::size_t idx) {
     PinnedSegment& pin = segs[idx];
     SegmentAgg& out = partial[idx];
-    const std::vector<std::uint32_t>* candidates = nullptr;
+    Candidates candidates;
     if (!open_segment_scan(pin, filter, plan, candidates, out.cold)) return;
     out.scanned = true;
     const StoredFlow* flows = pin.segment->flows.data();
@@ -308,7 +309,7 @@ AggregateResult execute_aggregate(StoreSnapshot snapshot,
           break;
       }
     };
-    if (candidates != nullptr) {
+    if (candidates) {
       out.index_hits = candidates->size();
       for (const auto offset : *candidates) consume(flows[offset]);
     } else {
@@ -398,7 +399,7 @@ std::vector<StoredFlow> scan_chunk(StoreSnapshot snapshot, const FlowQuery& q,
           continue;
         }
       }
-      const std::vector<std::uint32_t>* candidates = nullptr;
+      Candidates candidates;
       if (!open_segment_scan(pin, filter, plan, candidates, cold)) continue;
       ++st.segments_scanned;
       const StoredFlow* flows = pin.segment->flows.data();
@@ -410,7 +411,7 @@ std::vector<StoredFlow> scan_chunk(StoreSnapshot snapshot, const FlowQuery& q,
         return rows.size() < max_rows;
       };
       bool room = true;
-      if (candidates != nullptr) {
+      if (candidates) {
         st.index_hits += candidates->size();
         for (const auto offset : *candidates) {
           if (!(room = consume(flows[offset]))) break;
@@ -457,7 +458,7 @@ bool QueryCursor::open_next_segment() {
     pos_ = 0;
     segment_open_ = true;
     ++stats_.segments_scanned;
-    if (candidates_ != nullptr) stats_.index_hits += candidates_->size();
+    if (candidates_) stats_.index_hits += candidates_->size();
     return true;
   }
   return false;
@@ -468,7 +469,7 @@ bool QueryCursor::next() {
   for (;;) {
     if (!segment_open_ && !open_next_segment()) return false;
     const StoredFlow* flows = segment_->flows.data();
-    if (candidates_ != nullptr) {
+    if (candidates_) {
       while (pos_ < candidates_->size()) {
         const auto& stored = flows[(*candidates_)[pos_++]];
         ++stats_.rows_scanned;

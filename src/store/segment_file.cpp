@@ -40,28 +40,33 @@ using util::unzigzag;
 using util::zigzag;
 using Decoder = util::VarintDecoder;
 
-/// Strictly ascending offset list (the shape every inverted-index
-/// posting list has): absolute first value, then deltas >= 1, all
-/// < flow_count. Returns false on any structural violation.
-bool decode_offsets(Decoder& d, std::uint32_t flow_count,
+// The hot budget's charge per host or port key, on top of 4 B per
+// posting. The flat index costs far less per key; the charge stays so
+// that which segments the budget keeps hot does not change.
+constexpr std::uint64_t kHotBytesPerIndexKey = 48;
+
+/// Append one strictly ascending offset list (the shape every
+/// inverted-index posting list has): absolute first value, then deltas
+/// >= 1, all < flow_count. Returns false on any structural violation.
+/// Never reserves: callers append many lists to one array.
+bool append_offsets(Decoder& d, std::uint32_t flow_count,
                     std::vector<std::uint32_t>& out) {
   const std::uint64_t m = d.varint_at_most(flow_count);
   if (d.failed) return false;
-  out.clear();
-  out.reserve(m);
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < m; ++i) {
     const std::uint64_t delta = d.varint();
     if (d.failed) return false;
     const std::uint64_t v = i == 0 ? delta : prev + delta;
-    if (v >= flow_count || (i != 0 && delta == 0)) return false;
+    // v <= prev also catches a delta that wraps the sum past 2^64.
+    if (v >= flow_count || (i != 0 && v <= prev)) return false;
     out.push_back(static_cast<std::uint32_t>(v));
     prev = v;
   }
   return true;
 }
 
-void encode_offsets(ByteWriter& w, const std::vector<std::uint32_t>& v) {
+void encode_offsets(ByteWriter& w, std::span<const std::uint32_t> v) {
   put_varint(w, v.size());
   for (std::size_t i = 0; i < v.size(); ++i)
     put_varint(w, i == 0 ? v[i] : v[i] - v[i - 1]);
@@ -298,36 +303,27 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
   for (const auto& s : flows) put_varint(payload, s.flow.scenario_id);
   column("scenario_id", static_cast<std::uint64_t>(n) * 4);
 
-  // Inverted indexes, keys sorted for deterministic bytes (the golden
-  // fixture pins the encoding bit-for-bit).
-  std::uint64_t index_entries = 0;
-  const auto put_keyed_index = [&](const auto& map) {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(map.size());
-    for (const auto& [key, offsets] : map)
-      keys.push_back(static_cast<std::uint64_t>(key));
-    std::sort(keys.begin(), keys.end());
-    put_varint(payload, keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      put_varint(payload, i == 0 ? keys[i] : keys[i] - keys[i - 1]);
-      const auto& offsets =
-          map.at(static_cast<typename std::decay_t<
-                     decltype(map)>::key_type>(keys[i]));
-      encode_offsets(payload, offsets);
-      index_entries += offsets.size();
+  // Inverted indexes, as seal() built them: keys ascending, each
+  // followed by its ascending offsets (the golden fixture pins the
+  // encoding bit-for-bit).
+  const auto put_keyed_index = [&](const auto& index) {
+    put_varint(payload, index.size());
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      const std::uint64_t key = index.keys[i];
+      put_varint(payload, i == 0 ? key : key - index.keys[i - 1]);
+      encode_offsets(payload, index.postings(i));
     }
+    return index.rows.size() * sizeof(std::uint32_t) +
+           index.size() * kHotBytesPerIndexKey;
   };
-  put_keyed_index(segment.by_host);
-  column("index_host", index_entries * 4 + segment.by_host.size() * 48);
-  index_entries = 0;
-  put_keyed_index(segment.by_port);
-  column("index_port", index_entries * 4 + segment.by_port.size() * 48);
-  index_entries = 0;
+  column("index_host", put_keyed_index(segment.by_host));
+  column("index_port", put_keyed_index(segment.by_port));
+  std::uint64_t label_entries = 0;
   for (const auto& offsets : segment.by_label) {
     encode_offsets(payload, offsets);
-    index_entries += offsets.size();
+    label_entries += offsets.size();
   }
-  column("index_label", index_entries * 4);
+  column("index_label", label_entries * sizeof(std::uint32_t));
 
   ByteWriter header(kSegmentFileHeaderBytes);
   header.u64(kMagic);
@@ -360,16 +356,13 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
 }
 
 std::uint64_t segment_memory_bytes(const Segment& segment) noexcept {
-  std::uint64_t mem = segment.flows.capacity() * sizeof(StoredFlow);
-  std::uint64_t entries = 0;
-  for (const auto& [key, offsets] : segment.by_host)
-    entries += offsets.size();
-  for (const auto& [key, offsets] : segment.by_port)
-    entries += offsets.size();
+  std::uint64_t entries =
+      segment.by_host.rows.size() + segment.by_port.rows.size();
   for (const auto& offsets : segment.by_label) entries += offsets.size();
-  // Posting vectors plus ~48 bytes of hash-node overhead per key.
-  return mem + entries * sizeof(std::uint32_t) +
-         (segment.by_host.size() + segment.by_port.size()) * 48;
+  return segment.flows.capacity() * sizeof(StoredFlow) +
+         entries * sizeof(std::uint32_t) +
+         (segment.by_host.size() + segment.by_port.size()) *
+             kHotBytesPerIndexKey;
 }
 
 // ------------------------------------------------------------- decode
@@ -516,36 +509,42 @@ Result<std::shared_ptr<Segment>> decode_segment(
         static_cast<std::uint32_t>(d.varint_at_most(0xFFFFFFFFULL));
   if (d.failed) return corrupt();
 
-  const auto read_keyed_index = [&](auto& map, std::uint64_t key_bound,
-                                    std::uint64_t max_keys) {
+  // The index sections decode straight into the flat arrays: keys
+  // strictly ascending and within their bound, offsets strictly
+  // ascending and below n — exactly what PostingIndex::find() relies
+  // on. `rows` is reserved once: a valid file lists at most 2n
+  // postings, and each takes at least one payload byte.
+  const auto read_keyed_index = [&](auto& index) {
+    using Key = typename std::decay_t<decltype(index)>::key_type;
+    const std::uint64_t max_keys = static_cast<std::uint64_t>(n) * 2;
     const std::uint64_t keys = d.varint_at_most(max_keys);
     if (d.failed) return false;
+    const auto key_cap = std::min<std::uint64_t>(keys, d.r.remaining());
+    index.keys.reserve(key_cap);
+    index.starts.reserve(key_cap + 1);
+    index.rows.reserve(std::min<std::uint64_t>(max_keys, d.r.remaining()));
     std::uint64_t prev_key = 0;
-    std::vector<std::uint32_t> offsets;
     for (std::uint64_t i = 0; i < keys; ++i) {
       const std::uint64_t delta = d.varint();
       const std::uint64_t key = i == 0 ? delta : prev_key + delta;
-      if (d.failed || key > key_bound || (i != 0 && delta == 0))
+      if (d.failed || key > std::numeric_limits<Key>::max() ||
+          (i != 0 && key <= prev_key))
         return false;
       prev_key = key;
-      if (!decode_offsets(d, n, offsets)) return false;
-      map[static_cast<typename std::decay_t<decltype(map)>::key_type>(
-          key)] = offsets;
+      index.keys.push_back(static_cast<Key>(key));
+      index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
+      if (!append_offsets(d, n, index.rows) ||
+          index.rows.size() > std::numeric_limits<std::uint32_t>::max())
+        return false;
     }
+    index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
     return true;
   };
-  if (!read_keyed_index(segment->by_host,
-                        std::numeric_limits<std::uint32_t>::max(),
-                        static_cast<std::uint64_t>(n) * 2))
+  if (!read_keyed_index(segment->by_host) ||
+      !read_keyed_index(segment->by_port))
     return corrupt();
-  if (!read_keyed_index(segment->by_port, 0xFFFF,
-                        static_cast<std::uint64_t>(n) * 2))
-    return corrupt();
-  std::vector<std::uint32_t> offsets;
-  for (auto& posting : segment->by_label) {
-    if (!decode_offsets(d, n, offsets)) return corrupt();
-    posting = offsets;
-  }
+  for (auto& posting : segment->by_label)
+    if (!append_offsets(d, n, posting)) return corrupt();
 
   if (d.failed || d.r.offset() != payload.size())
     return corrupt();  // trailing garbage or short payload

@@ -215,7 +215,7 @@ struct SegmentFormat {
   static constexpr std::size_t kSpareAt = 15;  // the reserved flags
   using Value = std::shared_ptr<store::Segment>;
 
-  // A valid file image built through the real ingest/index path.
+  // A valid file image, indexed by the store's own Segment::seal().
   static Bytes file(Rng& rng, std::size_t flows) {
     store::Segment seg(flows);
     for (std::size_t i = 0; i < flows; ++i) {
@@ -223,15 +223,9 @@ struct SegmentFormat {
                                sample_flow(rng, static_cast<double>(i))};
       seg.min_ts = std::min(seg.min_ts, stored.flow.first_ts);
       seg.max_ts = std::max(seg.max_ts, stored.flow.last_ts);
-      const auto offset = static_cast<std::uint32_t>(seg.flows.size());
       seg.flows.push_back(stored);
-      seg.by_host[stored.flow.tuple.src.value()].push_back(offset);
-      seg.by_host[stored.flow.tuple.dst.value()].push_back(offset);
-      seg.by_port[stored.flow.tuple.dst_port].push_back(offset);
-      seg.by_label[static_cast<std::size_t>(stored.flow.majority_label())]
-          .push_back(offset);
     }
-    seg.sealed = true;
+    seg.seal();
     return store::encode_segment(seg);
   }
   static std::vector<Bytes> corpus(Rng& rng) {

@@ -15,10 +15,12 @@
 // kSegmentFileVersion; an accidental one fails here loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -88,21 +90,8 @@ FlowRecord random_flow(std::mt19937_64& rng) {
   return f;
 }
 
-// Mirror of DataStore::index_flow so hand-built segments carry the same
-// inverted indexes a store-built one would.
-void index_flow(Segment& seg, const StoredFlow& stored,
-                std::uint32_t offset) {
-  const auto& f = stored.flow;
-  seg.by_host[f.tuple.src.value()].push_back(offset);
-  if (f.tuple.dst != f.tuple.src)
-    seg.by_host[f.tuple.dst.value()].push_back(offset);
-  seg.by_port[f.tuple.src_port].push_back(offset);
-  if (f.tuple.dst_port != f.tuple.src_port)
-    seg.by_port[f.tuple.dst_port].push_back(offset);
-  seg.by_label[static_cast<std::size_t>(f.majority_label())].push_back(
-      offset);
-}
-
+// A sealed segment of `flows`, indexed by Segment::seal() exactly as
+// the store indexes one.
 std::shared_ptr<Segment> make_segment(const std::vector<FlowRecord>& flows,
                                       std::uint64_t first_id = 1) {
   auto seg = std::make_shared<Segment>(flows.size());
@@ -113,11 +102,9 @@ std::shared_ptr<Segment> make_segment(const std::vector<FlowRecord>& flows,
       stored.flow.last_ts = stored.flow.first_ts;
     seg->min_ts = std::min(seg->min_ts, stored.flow.first_ts);
     seg->max_ts = std::max(seg->max_ts, stored.flow.last_ts);
-    const auto offset = static_cast<std::uint32_t>(seg->flows.size());
     seg->flows.push_back(stored);
-    index_flow(*seg, seg->flows.back(), offset);
   }
-  seg->sealed = true;
+  seg->seal();
   return seg;
 }
 
@@ -160,20 +147,13 @@ void expect_segment_equal(const Segment& got, const Segment& want) {
   }
   EXPECT_TRUE(got.sealed);
   // Index answers must be identical, entry for entry.
-  ASSERT_EQ(got.by_host.size(), want.by_host.size());
-  for (const auto& [key, offsets] : want.by_host) {
-    const auto it = got.by_host.find(key);
-    ASSERT_NE(it, got.by_host.end()) << "host key " << key;
-    EXPECT_EQ(it->second, offsets);
-  }
-  ASSERT_EQ(got.by_port.size(), want.by_port.size());
-  for (const auto& [key, offsets] : want.by_port) {
-    const auto it = got.by_port.find(key);
-    ASSERT_NE(it, got.by_port.end()) << "port key " << key;
-    EXPECT_EQ(it->second, offsets);
-  }
-  for (std::size_t l = 0; l < want.by_label.size(); ++l)
-    EXPECT_EQ(got.by_label[l], want.by_label[l]);
+  EXPECT_EQ(got.by_host.keys, want.by_host.keys);
+  EXPECT_EQ(got.by_host.starts, want.by_host.starts);
+  EXPECT_EQ(got.by_host.rows, want.by_host.rows);
+  EXPECT_EQ(got.by_port.keys, want.by_port.keys);
+  EXPECT_EQ(got.by_port.starts, want.by_port.starts);
+  EXPECT_EQ(got.by_port.rows, want.by_port.rows);
+  EXPECT_EQ(got.by_label, want.by_label);
 }
 
 void expect_round_trip(const Segment& seg) {
@@ -216,7 +196,7 @@ std::string fresh_dir(const std::string& name) {
 
 TEST(SegmentFile, RoundTripEmpty) {
   Segment seg(0);
-  seg.sealed = true;
+  seg.seal();
   expect_round_trip(seg);
 }
 
@@ -260,6 +240,190 @@ TEST(SegmentFile, RoundTripExtremeTimestamps) {
   expect_round_trip(*make_segment({f1, f2, f3},
                                   std::numeric_limits<std::uint64_t>::max() -
                                       8));
+}
+
+// ------------------------------------------- index vs the per-flow rule
+
+// The reference the flat index must equal: one posting list per key,
+// filled flow by flow. A row is listed under its src host, and under
+// its dst host when that differs; under its src port, and under its
+// dst port when that differs; and under its majority label.
+struct ReferenceIndex {
+  std::map<std::uint32_t, std::vector<std::uint32_t>> hosts;
+  std::map<std::uint16_t, std::vector<std::uint32_t>> ports;
+  std::array<std::vector<std::uint32_t>, packet::kTrafficLabelCount> labels;
+
+  explicit ReferenceIndex(const Segment& seg) {
+    for (std::uint32_t row = 0; row < seg.flows.size(); ++row) {
+      const auto& f = seg.flows[row].flow;
+      hosts[f.tuple.src.value()].push_back(row);
+      if (f.tuple.dst != f.tuple.src) hosts[f.tuple.dst.value()].push_back(row);
+      ports[f.tuple.src_port].push_back(row);
+      if (f.tuple.dst_port != f.tuple.src_port)
+        ports[f.tuple.dst_port].push_back(row);
+      labels[static_cast<std::size_t>(f.majority_label())].push_back(row);
+    }
+  }
+
+  // What segment_memory_bytes must charge: the flow array at capacity,
+  // 4 B per posting, and 48 B per host or port key.
+  std::uint64_t memory_bytes(const Segment& seg) const {
+    std::uint64_t postings = 0;
+    for (const auto& [key, rows] : hosts) postings += rows.size();
+    for (const auto& [key, rows] : ports) postings += rows.size();
+    for (const auto& rows : labels) postings += rows.size();
+    return seg.flows.capacity() * sizeof(StoredFlow) + postings * 4 +
+           (hosts.size() + ports.size()) * 48;
+  }
+};
+
+template <typename Key>
+void expect_index_equals(const PostingIndex<Key>& index,
+                         const std::map<Key, std::vector<std::uint32_t>>& want,
+                         const char* what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(index.keys.size(), want.size());
+  ASSERT_EQ(index.starts.size(), want.size() + 1);
+  EXPECT_EQ(index.starts.front(), 0u);
+  EXPECT_EQ(index.starts.back(), index.rows.size());
+  std::size_t i = 0;
+  for (const auto& [key, rows] : want) {
+    ASSERT_EQ(index.keys[i], key) << "key #" << i;
+    const auto got = index.postings(i);
+    EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), rows)
+        << "key " << key;
+    const auto found = index.find(key);
+    EXPECT_EQ(found.data(), got.data());
+    EXPECT_EQ(found.size(), got.size());
+    ++i;
+  }
+  // Every absent neighbour of a present key, plus both extremes: each
+  // lies below the first key, between two keys, or above the last.
+  std::vector<Key> probes = {0, std::numeric_limits<Key>::max()};
+  for (const auto& [key, rows] : want) {
+    if (key > 0) probes.push_back(static_cast<Key>(key - 1));
+    if (key < std::numeric_limits<Key>::max())
+      probes.push_back(static_cast<Key>(key + 1));
+  }
+  for (const Key probe : probes) {
+    if (!want.contains(probe)) {
+      EXPECT_TRUE(index.find(probe).empty()) << "absent key " << probe;
+    }
+  }
+}
+
+// Flows shaped to hit every branch of the per-flow rule. kMixed draws
+// hosts and ports from small pools, makes a quarter of the flows
+// host-local (src == dst) and a quarter port-symmetric (src_port ==
+// dst_port), and sends every flow to port 443, one key shared by every
+// row. kFlood is syn_flood's shape: every flow from a fresh source
+// host and port to one victim, so almost all keys are distinct.
+enum class Shape { kMixed, kFlood };
+
+std::vector<FlowRecord> shaped_flows(std::mt19937_64& rng, std::size_t n,
+                                     Shape shape) {
+  const Ipv4Address victim(192, 0, 2, 80);
+  std::vector<FlowRecord> flows;
+  flows.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    FlowRecord f = random_flow(rng);
+    if (shape == Shape::kFlood) {
+      f.tuple.src = Ipv4Address(static_cast<std::uint32_t>(0x0B000000 + i));
+      f.tuple.dst = victim;
+      f.tuple.src_port = static_cast<std::uint16_t>(1024 + i);
+      f.tuple.dst_port = 80;
+    } else {
+      f.tuple.dst_port = 443;
+      if (i % 4 == 1) f.tuple.dst = f.tuple.src;
+      if (i % 4 == 2) f.tuple.src_port = 443;
+    }
+    flows.push_back(f);
+  }
+  return flows;
+}
+
+TEST(SegmentFile, SealMatchesPerFlowIndexRule) {
+  std::mt19937_64 rng(0x5EA1);
+  for (const Shape shape : {Shape::kMixed, Shape::kFlood}) {
+    for (const std::size_t n : {0, 1, 2, 64, 5000}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (shape == Shape::kFlood ? "flood" : "mixed") << ", "
+                   << n << " flows");
+      const auto seg = make_segment(shaped_flows(rng, n, shape));
+      const ReferenceIndex want(*seg);
+      expect_index_equals(seg->by_host, want.hosts, "by_host");
+      expect_index_equals(seg->by_port, want.ports, "by_port");
+      EXPECT_EQ(seg->by_label, want.labels);
+      EXPECT_EQ(segment_memory_bytes(*seg), want.memory_bytes(*seg));
+      if (n > 0 && shape == Shape::kMixed) {
+        EXPECT_EQ(seg->by_port.find(443).size(), n);  // shared by every row
+      }
+      // The file carries the same index, read back without re-sealing.
+      expect_round_trip(*seg);
+    }
+  }
+}
+
+TEST(SegmentFile, IndexFindMissesAroundKeys) {
+  const auto seg = make_segment({
+      flow_at(1, Ipv4Address(10, 0, 0, 10), Ipv4Address(10, 0, 0, 10), 20, 20),
+      flow_at(2, Ipv4Address(10, 0, 0, 30), Ipv4Address(10, 0, 0, 50), 40, 60),
+  });
+  const auto host = [](std::uint8_t last) {
+    return Ipv4Address(10, 0, 0, last).value();
+  };
+  EXPECT_EQ(seg->by_host.keys,
+            (std::vector<std::uint32_t>{host(10), host(30), host(50)}));
+  EXPECT_EQ(seg->by_port.keys, (std::vector<std::uint16_t>{20, 40, 60}));
+  for (const std::uint8_t absent : {9, 20, 40, 51})  // below, between, above
+    EXPECT_TRUE(seg->by_host.find(host(absent)).empty()) << int{absent};
+  for (const std::uint16_t absent : {19, 30, 50, 61})
+    EXPECT_TRUE(seg->by_port.find(absent).empty()) << absent;
+  EXPECT_EQ(seg->by_host.find(host(10)).size(), 1u);  // src == dst: once
+  EXPECT_EQ(seg->by_port.find(20).size(), 1u);
+  ASSERT_EQ(seg->by_host.find(host(50)).size(), 1u);
+  EXPECT_EQ(seg->by_host.find(host(50))[0], 1u);
+}
+
+// Lookup is a binary search, so the decoder must reject index keys that
+// are not strictly ascending, including a key delta that wraps the sum
+// past 2^64 back below its predecessor (what a descending pair encodes
+// to).
+TEST(SegmentFile, DecodeRejectsDescendingIndexKeys) {
+  const auto seg = make_segment({
+      flow_at(1, Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2), 20, 40),
+      flow_at(2, Ipv4Address(10, 0, 0, 3), Ipv4Address(10, 0, 0, 4), 60, 80),
+  });
+  ASSERT_TRUE(decode_segment(encode_segment(*seg)).ok());
+  {
+    Segment bad = *seg;
+    std::reverse(bad.by_port.keys.begin(), bad.by_port.keys.end());
+    const auto decoded = decode_segment(encode_segment(bad));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, "segment_corrupt");
+  }
+  {
+    Segment bad = *seg;
+    std::swap(bad.by_host.keys[1], bad.by_host.keys[2]);
+    const auto decoded = decode_segment(encode_segment(bad));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, "segment_corrupt");
+  }
+}
+
+// The open tail carries no index, so it is charged for its flow array
+// only; sealing adds the index charge.
+TEST(SegmentFile, UnsealedSegmentHasNoIndex) {
+  Segment seg(4);
+  seg.flows.push_back(StoredFlow{
+      1, flow_at(1, Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2), 5, 6)});
+  EXPECT_EQ(seg.by_host.size(), 0u);
+  EXPECT_TRUE(seg.by_host.find(Ipv4Address(10, 0, 0, 1).value()).empty());
+  EXPECT_EQ(segment_memory_bytes(seg), 4 * sizeof(StoredFlow));
+  seg.seal();
+  EXPECT_TRUE(seg.sealed);
+  EXPECT_EQ(segment_memory_bytes(seg),
+            4 * sizeof(StoredFlow) + 5 * 4 + 4 * 48);
 }
 
 TEST(SegmentFile, RoundTripThroughFile) {

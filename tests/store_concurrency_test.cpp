@@ -232,6 +232,72 @@ TEST(StoreConcurrency, ConcurrentIngestQueryRetention) {
   check_rows(remaining, FlowQuery{});
 }
 
+// The seal race: a writer with 16-flow segments seals hundreds of times
+// while readers pin snapshots and answer host, port and label queries
+// through the index. seal() builds the index under the store mutex
+// before marking the segment sealed, and a pin reads `sealed` under the
+// same mutex, so every answer must equal a brute-force scan of the very
+// snapshot it ran on. Run under TSAN (CI matches "StoreConcurrency").
+TEST(StoreConcurrency, IndexedAnswersMatchScanAcrossSeals) {
+  DataStoreConfig cfg;
+  cfg.segment_flows = 16;
+  DataStore store(cfg);
+
+  constexpr int kFlows = 4000;  // 250 seals; modest for TSAN
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    std::mt19937_64 rng(11);
+    for (int i = 0; i < kFlows; ++i) {
+      FlowRecord f = random_flow(rng, i * 0.01);
+      if (i % 5 == 1) f.tuple.dst = f.tuple.src;            // host-local
+      if (i % 5 == 2) f.tuple.src_port = f.tuple.dst_port;  // port-symmetric
+      store.ingest(f);
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  const auto scan_ids = [](const StoreSnapshot& snap, const FlowQuery& q) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& pin : snap.segments()) {
+      const StoredFlow* flows = pin.segment->flows.data();
+      for (std::uint32_t i = 0; i < pin.count; ++i)
+        if (q.matches(flows[i])) ids.push_back(flows[i].id);
+    }
+    return ids;
+  };
+  const std::vector<FlowQuery> queries = {
+      FlowQuery{}.about_host(kHostA),
+      FlowQuery{}.about_host(Ipv4Address(10, 2, 1, 7)),
+      FlowQuery{}.on_port(53),
+      FlowQuery{}.on_port(443),
+      FlowQuery{}.with_label(TrafficLabel::kPortScan),
+  };
+
+  std::atomic<std::size_t> index_hits{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      std::size_t round = static_cast<std::size_t>(t);
+      bool last = false;
+      while (!last) {
+        last = done.load(std::memory_order_acquire);  // one round after
+        const StoreSnapshot snap = store.snapshot();
+        const FlowQuery& q = queries[round++ % queries.size()];
+        const auto result = execute_query(snap, q, nullptr);
+        std::vector<std::uint64_t> got;
+        for (const auto& stored : result) got.push_back(stored.id);
+        ASSERT_EQ(got, scan_ids(snap, q));
+        index_hits.fetch_add(result.stats().index_hits,
+                             std::memory_order_relaxed);
+      }
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+  EXPECT_GT(index_hits.load(), 0u);
+  EXPECT_EQ(store.size(), static_cast<std::uint64_t>(kFlows));
+}
+
 // ---------------------------------------------------------------------
 // Mixed-tier concurrency: the same guarantees with the cold tier in
 // play. These run under TSAN too (CI matches "StoreTier").

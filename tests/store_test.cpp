@@ -449,35 +449,59 @@ TEST_F(StoreFixture, AggregateTopKIsHeavyHitters) {
 }
 
 // Property: for random stores, every indexed query returns exactly the
-// same set as a brute-force scan with the same predicate.
+// rows a brute-force scan with the same predicate returns, in the same
+// order. Host-local (src == dst) and port-symmetric (src_port ==
+// dst_port) flows hit the branches of the index rule. The store spills
+// under a small hot budget, so some segments answer from an index read
+// out of a file, others from one built at seal, and the open tail by
+// scanning.
 TEST(DataStoreProperty, IndexedQueryEqualsScan) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("campuslab_indexed_eq_scan_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
   Rng rng(404);
   DataStoreConfig cfg;
   cfg.segment_flows = 64;
+  cfg.spill_directory = dir.string();
+  cfg.hot_bytes_budget = 8 * cfg.segment_flows * sizeof(StoredFlow);
   DataStore store(cfg);
-  std::vector<FlowRecord> all;
+  const auto host = [&rng](std::uint32_t base, std::uint64_t pool) {
+    return Ipv4Address(static_cast<std::uint32_t>(base + rng.below(pool)));
+  };
   for (int i = 0; i < 2000; ++i) {
-    const Ipv4Address src(
-        static_cast<std::uint32_t>(0x0A010000 + rng.below(32)));
-    const Ipv4Address dst(
-        static_cast<std::uint32_t>(0xC6336400 + rng.below(16)));
+    const Ipv4Address src = host(0x0A010000, 32);
+    const Ipv4Address dst = rng.chance(0.15) ? src : host(0xC6336400, 16);
+    const auto dport =
+        static_cast<std::uint16_t>(rng.chance(0.5) ? 53 : 443);
+    const auto sport = rng.chance(0.15)
+                           ? dport
+                           : static_cast<std::uint16_t>(rng.below(3) + 5000);
     const auto label = static_cast<TrafficLabel>(rng.below(5));
-    auto f = make_flow(rng.uniform(0, 1000), 0, src, dst,
-                       static_cast<std::uint16_t>(rng.below(3) + 5000),
-                       static_cast<std::uint16_t>(rng.chance(0.5) ? 53 : 443),
+    auto f = make_flow(rng.uniform(0, 1000), 0, src, dst, sport, dport,
                        static_cast<std::uint8_t>(rng.chance(0.5) ? 6 : 17),
                        label, 1 + rng.below(100), 100 + rng.below(100000));
     f.last_ts = f.first_ts + Duration::from_seconds(rng.uniform(0, 10));
-    all.push_back(f);
     store.ingest(f);
   }
-  for (int trial = 0; trial < 50; ++trial) {
+  const auto catalog = store.catalog();
+  ASSERT_GT(catalog.cold_segments, 0u);
+  ASSERT_GT(catalog.segments, catalog.cold_segments + 1);  // hot sealed too
+
+  std::size_t cold_loaded = 0;
+  std::size_t index_hits = 0;
+  for (int trial = 0; trial < 200; ++trial) {
     FlowQuery q;
-    if (rng.chance(0.5))
-      q.host = Ipv4Address(
-          static_cast<std::uint32_t>(0x0A010000 + rng.below(32)));
+    const double pick = rng.uniform(0, 1);
+    if (pick < 0.3)
+      q.host = host(rng.chance(0.5) ? 0x0A010000 : 0xC6336400, 32);
+    else if (pick < 0.4)
+      q.src = host(0x0A010000, 32);
+    else if (pick < 0.5)
+      q.dst = host(0xC6336400, 16);
     if (rng.chance(0.4)) q.label = static_cast<TrafficLabel>(rng.below(5));
-    if (rng.chance(0.4)) q.port = rng.chance(0.5) ? 53 : 443;
+    if (rng.chance(0.4))
+      q.port = static_cast<std::uint16_t>(
+          rng.chance(0.3) ? rng.below(3) + 5000 : (rng.chance(0.5) ? 53 : 443));
     if (rng.chance(0.5)) {
       const double a = rng.uniform(0, 1000);
       q.between(Timestamp::from_seconds(a),
@@ -486,12 +510,20 @@ TEST(DataStoreProperty, IndexedQueryEqualsScan) {
     if (rng.chance(0.3)) q.min_bytes = rng.below(50000);
 
     const auto indexed = store.query(q);
-    std::size_t scan_count = 0;
+    std::vector<std::uint64_t> got;
+    for (const auto& s : indexed) got.push_back(s.id);
+    std::vector<std::uint64_t> want;
     store.for_each([&](const StoredFlow& s) {
-      if (q.matches(s)) ++scan_count;
+      if (q.matches(s)) want.push_back(s.id);
     });
-    EXPECT_EQ(indexed.size(), scan_count) << "trial " << trial;
+    EXPECT_EQ(got, want) << "trial " << trial;
+    EXPECT_EQ(indexed.stats().cold_load_failures, 0u);
+    cold_loaded += indexed.stats().cold_loaded;
+    index_hits += indexed.stats().index_hits;
   }
+  EXPECT_GT(cold_loaded, 0u);
+  EXPECT_GT(index_hits, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 // --------------------------------------------------------- PacketArchive
