@@ -84,9 +84,9 @@ struct DeploymentPackage {
   double accuracy_on(const ml::Dataset& raw_dataset) const;
 
   /// Class-balanced accuracy (mean per-class recall) on a RAW dataset.
-  /// The continual loop promotes on this: windows are dominated by
-  /// benign rows, so plain accuracy hides a model that has gone blind
-  /// to the (rare) event class.
+  /// The automation loop's promote margin is judged on this: windows
+  /// are dominated by benign rows, so plain accuracy hides a model that
+  /// has gone blind to the (rare) event class.
   double balanced_accuracy_on(const ml::Dataset& raw_dataset) const;
 
   dataplane::FilterPolicy policy() const {

@@ -45,7 +45,9 @@ struct DriftConfig {
   std::size_t window = 2048;
   /// Score-histogram resolution.
   std::size_t bins = 16;
-  /// Drift score at or above this marks a window as drifted.
+  /// Drift score at or above this marks a window as drifted. 0 marks
+  /// every judged window as drifted, so the loop retrains on its check
+  /// cadence.
   double trigger_threshold = 0.25;
   /// Hysteresis low-water: an armed detector disarms only when a
   /// window's drift score falls to or below this. Must be below

@@ -84,6 +84,11 @@ class ShardedFlowIngester {
     std::vector<capture::FlowRecord> flows;
   };
 
+  /// Empty every buffer into one vector in canonical export order.
+  std::vector<capture::FlowRecord> take_sorted();
+  /// Re-buffer `merged[from..]` after a failed or partial merge.
+  void rebuffer(std::vector<capture::FlowRecord>& merged, std::size_t from);
+
   // unique_ptr: mutexes are neither movable nor copyable.
   std::vector<std::unique_ptr<Buffer>> buffers_;
   std::atomic<std::uint64_t> pending_{0};

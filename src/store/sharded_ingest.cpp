@@ -28,7 +28,7 @@ void ShardedFlowIngester::ingest(std::size_t shard,
   pending_.fetch_add(1, std::memory_order_release);
 }
 
-std::uint64_t ShardedFlowIngester::merge_into(DataStore& store) {
+std::vector<capture::FlowRecord> ShardedFlowIngester::take_sorted() {
   std::vector<capture::FlowRecord> merged;
   for (auto& buffer : buffers_) {
     std::vector<capture::FlowRecord> taken;
@@ -41,6 +41,24 @@ std::uint64_t ShardedFlowIngester::merge_into(DataStore& store) {
   }
   std::stable_sort(merged.begin(), merged.end(),
                    capture::flow_export_before);
+  return merged;
+}
+
+void ShardedFlowIngester::rebuffer(std::vector<capture::FlowRecord>& merged,
+                                   std::size_t from) {
+  // The flows stay pending, nothing is lost, and the next merge's
+  // canonical sort restores order. Parked in buffer 0 — the buffer a
+  // flow waits in carries no meaning.
+  std::lock_guard<std::mutex> lock(buffers_[0]->mu);
+  buffers_[0]->flows.insert(
+      buffers_[0]->flows.end(),
+      std::make_move_iterator(merged.begin() +
+                              static_cast<std::ptrdiff_t>(from)),
+      std::make_move_iterator(merged.end()));
+}
+
+std::uint64_t ShardedFlowIngester::merge_into(DataStore& store) {
+  std::vector<capture::FlowRecord> merged = take_sorted();
   for (const auto& flow : merged) store.ingest(flow);
   pending_.fetch_sub(merged.size(), std::memory_order_release);
   merged_total_ += merged.size();
@@ -51,18 +69,7 @@ std::uint64_t ShardedFlowIngester::merge_into(DataStore& store) {
 Result<std::uint64_t> ShardedFlowIngester::merge_into(
     DataStore& store, const resilience::RetryPolicy& policy,
     const resilience::Sleeper& sleeper) {
-  std::vector<capture::FlowRecord> merged;
-  for (auto& buffer : buffers_) {
-    std::vector<capture::FlowRecord> taken;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mu);
-      taken.swap(buffer->flows);
-    }
-    merged.insert(merged.end(), std::make_move_iterator(taken.begin()),
-                  std::make_move_iterator(taken.end()));
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   capture::flow_export_before);
+  std::vector<capture::FlowRecord> merged = take_sorted();
   std::size_t ingested = 0;
   Status terminal = Status::success();
   for (const auto& flow : merged) {
@@ -86,33 +93,14 @@ Result<std::uint64_t> ShardedFlowIngester::merge_into(
   merged_total_ += ingested;
   obs::Registry::global().counter("store.merged_flows").add(ingested);
   if (!terminal.ok()) {
-    // Re-buffer the unmerged tail: the flows stay pending, nothing is
-    // lost, and the next merge's canonical sort restores order. Parked
-    // in buffer 0 — the buffer a flow waits in carries no meaning.
-    std::lock_guard<std::mutex> lock(buffers_[0]->mu);
-    buffers_[0]->flows.insert(
-        buffers_[0]->flows.end(),
-        std::make_move_iterator(merged.begin() +
-                                static_cast<std::ptrdiff_t>(ingested)),
-        std::make_move_iterator(merged.end()));
+    rebuffer(merged, ingested);
     return terminal.error();
   }
   return static_cast<std::uint64_t>(ingested);
 }
 
 Result<std::uint64_t> ShardedFlowIngester::merge_into(StoreShard& shard) {
-  std::vector<capture::FlowRecord> merged;
-  for (auto& buffer : buffers_) {
-    std::vector<capture::FlowRecord> taken;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mu);
-      taken.swap(buffer->flows);
-    }
-    merged.insert(merged.end(), std::make_move_iterator(taken.begin()),
-                  std::make_move_iterator(taken.end()));
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   capture::flow_export_before);
+  std::vector<capture::FlowRecord> merged = take_sorted();
   ShardIngestBatch batch;
   batch.rows.reserve(merged.size());
   for (const auto& flow : merged)
@@ -125,14 +113,7 @@ Result<std::uint64_t> ShardedFlowIngester::merge_into(StoreShard& shard) {
   merged_total_ += applied;
   obs::Registry::global().counter("store.merged_flows").add(applied);
   if (applied < merged.size()) {
-    // Re-buffer the unapplied tail, same contract as the resilient
-    // DataStore merge: nothing lost, canonical re-sort next time.
-    std::lock_guard<std::mutex> lock(buffers_[0]->mu);
-    buffers_[0]->flows.insert(
-        buffers_[0]->flows.end(),
-        std::make_move_iterator(merged.begin() +
-                                static_cast<std::ptrdiff_t>(applied)),
-        std::make_move_iterator(merged.end()));
+    rebuffer(merged, applied);
     if (!ack.ok()) return ack.error();
     return Error::make("ingest_partial",
                        "shard applied " + std::to_string(applied) + " of " +
@@ -142,18 +123,7 @@ Result<std::uint64_t> ShardedFlowIngester::merge_into(StoreShard& shard) {
 }
 
 ClusterIngestReport ShardedFlowIngester::merge_into(Cluster& cluster) {
-  std::vector<capture::FlowRecord> merged;
-  for (auto& buffer : buffers_) {
-    std::vector<capture::FlowRecord> taken;
-    {
-      std::lock_guard<std::mutex> lock(buffer->mu);
-      taken.swap(buffer->flows);
-    }
-    merged.insert(merged.end(), std::make_move_iterator(taken.begin()),
-                  std::make_move_iterator(taken.end()));
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   capture::flow_export_before);
+  std::vector<capture::FlowRecord> merged = take_sorted();
   const ClusterIngestReport report = cluster.ingest(merged);
   pending_.fetch_sub(merged.size(), std::memory_order_release);
   merged_total_ += report.acked;

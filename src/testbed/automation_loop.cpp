@@ -201,8 +201,10 @@ void AutomationLoop::harvest_into_reservoir() {
 void AutomationLoop::check_tick() {
   testbed_->network().events().schedule_in(config_.drift_check_interval,
                                            [this] { check_tick(); });
+  // A canary in flight owns the rows arriving meanwhile: finish_canary
+  // scores them as its fresh window, then absorbs them.
+  if (pending_.has_value()) return;
   harvest_into_reservoir();
-  if (pending_.has_value()) return;  // canary in flight
   if (!drift_.triggered()) return;
   // A failed cycle start (thin window, retries exhausted) leaves the
   // detector armed; the next tick tries again.

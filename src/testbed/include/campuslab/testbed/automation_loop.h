@@ -59,7 +59,8 @@ struct AutomationConfig {
   /// Registry directory; empty = ephemeral (no durability, benches).
   std::string registry_directory;
   /// Cadence of the drift check (also the harvest cadence feeding the
-  /// training reservoir).
+  /// training reservoir; harvesting pauses while a canary is in
+  /// flight, whose window finish_canary harvests instead).
   Duration drift_check_interval = Duration::seconds(5);
   /// Mirror-only canary window before a candidate may be promoted.
   Duration canary_duration = Duration::seconds(10);

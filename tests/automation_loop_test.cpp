@@ -2,11 +2,13 @@
 //
 // Covers the robustness contract end to end on the simulated campus:
 // initial bootstrap, crash-restart recovery from the durable registry,
-// drift-triggered retraining that actually promotes, canary gate and
-// budget rollbacks that keep the incumbent, retry exhaustion degrading
-// to "keep serving the last good model", the five seeded control.*
-// fault sites ending Healthy with a model deployed, and the lock-free
-// ModelHandle under concurrent swap/acquire (TSAN job).
+// drift-triggered retraining that actually promotes, retraining on the
+// check cadence (trigger at 0) recovering from drift the verdict
+// stream cannot see, canary gate, budget and promote-margin rollbacks
+// that keep the incumbent, retry exhaustion degrading to "keep serving
+// the last good model", the five seeded control.* fault sites ending
+// Healthy with a model deployed, and the lock-free ModelHandle under
+// concurrent swap/acquire (TSAN job).
 #include "campuslab/testbed/automation_loop.h"
 
 #include <gtest/gtest.h>
@@ -24,12 +26,12 @@ namespace {
 namespace fs = std::filesystem;
 using packet::TrafficLabel;
 
-/// Two-phase drift scenario (mirrors continual_test): a heavy
-/// large-packet flood early, then a small-packet many-reflector flood
-/// late — the regime the phase-1 model decays on. `phase2_pps` sets
-/// how loud the drifted regime is: the drift-trigger test needs it to
-/// dominate the verdict stream; the rollback tests keep it quiet and
-/// trigger cycles explicitly.
+/// Two-phase drift scenario: a heavy large-packet flood early, then a
+/// small-packet few-reflector flood late — the regime the phase-1
+/// model decays on. `phase2_pps` sets how loud the drifted regime is:
+/// the drift-trigger test needs it to dominate the verdict stream; the
+/// quiet regime stays inside the benign DNS envelope, and the rollback
+/// tests trigger cycles on it explicitly.
 testbed::TestbedConfig drift_scenario(std::uint64_t seed,
                                       double phase2_pps = 60) {
   testbed::TestbedConfig cfg;
@@ -88,6 +90,19 @@ bool audit_has(const ModelRegistry& reg, AuditKind kind) {
   for (const auto& event : reg.audit_trail())
     if (event.kind == kind) return true;
   return false;
+}
+
+/// Fraction of the amplification attack delivered past the filter
+/// between two accounting snapshots.
+double delivered_fraction(const sim::DeliveryAccounting& before,
+                          const sim::DeliveryAccounting& after) {
+  const auto idx = static_cast<std::size_t>(TrafficLabel::kDnsAmplification);
+  const auto delivered =
+      after.delivered.frames[idx] - before.delivered.frames[idx];
+  const auto filtered =
+      after.filtered.frames[idx] - before.filtered.frames[idx];
+  return static_cast<double>(delivered) /
+         static_cast<double>(delivered + filtered + 1);
 }
 
 TEST(AutomationLoop, BootstrapTrainsAndPromotesVersionOne) {
@@ -186,6 +201,59 @@ TEST(AutomationLoop, DriftTriggersRetrainAndPromotesWithoutDroppingPackets) {
   EXPECT_EQ(bed.capture_engine().stats().dropped, 0u);
 }
 
+// The quiet regime (60 pps x 300 B) sits inside the benign DNS
+// envelope, so the deployed tree passes it confidently and the verdict
+// stream never moves. With the trigger at 0 every judged window counts
+// as drifted, and the loop retrains, canaries and promotes on its check
+// cadence instead.
+TEST(AutomationLoop, ArmedEveryWindowRecoversQuietDriftWhereStaticDecays) {
+  constexpr std::uint64_t kSeed = 41003;
+  auto cfg = small_automation(kSeed);
+  cfg.drift.trigger_threshold = 0.0;
+
+  // Static: train once on phase 1, never retrain.
+  double static_phase2 = 0;
+  {
+    testbed::Testbed bed(drift_scenario(kSeed));
+    bed.run(Duration::seconds(20));
+    DevelopmentLoop dev(cfg.development);
+    auto package = dev.run(bed.harvest_dataset());
+    ASSERT_TRUE(package.ok()) << package.error().message;
+    auto loop = FastLoop::deploy(package.value());
+    ASSERT_TRUE(loop.ok());
+    loop.value()->install(bed.network());
+    bed.run(Duration::seconds(24));  // to t=44, just before phase 2
+    const auto before = bed.network().accounting();
+    bed.run(Duration::seconds(41));  // through phase 2
+    static_phase2 = delivered_fraction(before, bed.network().accounting());
+  }
+
+  testbed::Testbed bed(drift_scenario(kSeed));
+  bed.run(Duration::seconds(20));
+  AutomationLoop loop(cfg, bed);
+  ASSERT_TRUE(loop.start().ok());
+  bed.run(Duration::seconds(24));
+  const auto before = bed.network().accounting();
+  bed.run(Duration::seconds(41));
+  const double loop_phase2 =
+      delivered_fraction(before, bed.network().accounting());
+
+  EXPECT_GT(static_phase2, 0.2);  // the static model really did decay
+  EXPECT_LT(loop_phase2, static_phase2 * 0.7)
+      << "static=" << static_phase2 << " loop=" << loop_phase2;
+  EXPECT_GE(loop.registry().active_version(), 2u);
+  EXPECT_EQ(loop.handle().version(), loop.registry().active_version());
+  EXPECT_EQ(loop.health(), LoopHealth::kHealthy);
+  // Before the drift starts at t=45 the canary sees no attack, so its
+  // gate rolls every candidate back and v1 keeps serving.
+  for (const auto& event : loop.registry().audit_trail()) {
+    if (event.kind == AuditKind::kPromoted && event.version > 1) {
+      EXPECT_GE(event.at.to_seconds(), 45.0)
+          << "v" << event.version << " promoted before the drift";
+    }
+  }
+}
+
 TEST(AutomationLoop, CanaryGateFailureRollsBackAndKeepsIncumbent) {
   testbed::Testbed bed(drift_scenario(51006));
   bed.run(Duration::seconds(20));
@@ -234,6 +302,34 @@ TEST(AutomationLoop, BudgetOverrunRollsBack) {
   ASSERT_FALSE(loop.cycles().empty());
   EXPECT_EQ(loop.cycles().back().outcome, CycleOutcome::kRolledBack);
   EXPECT_EQ(loop.cycles().back().error_code, "budget_utilization");
+  EXPECT_EQ(loop.handle().version(), 1u);
+  EXPECT_EQ(loop.registry().active_version(), 1u);
+}
+
+// The margin is judged on the rows that arrived during the canary, so
+// the check tick must leave them to the canary: an empty fresh window
+// would skip the margin and promote.
+TEST(AutomationLoop, PromoteMarginIsJudgedOnTheCanaryWindow) {
+  testbed::Testbed bed(drift_scenario(51020));
+  bed.run(Duration::seconds(20));
+  auto cfg = small_automation(51020);
+  // A gate every candidate passes, then a margin no candidate can beat.
+  cfg.gate.min_precision = 0.0;
+  cfg.gate.min_block_rate = 0.0;
+  cfg.gate.max_benign_loss = 1.0;
+  cfg.gate.min_observed = 1;
+  cfg.promote_margin = 1.5;
+  AutomationLoop loop(cfg, bed);
+  ASSERT_TRUE(loop.start().ok());
+  bed.run(Duration::seconds(30));
+
+  ASSERT_TRUE(loop.trigger_cycle().ok());
+  bed.run(Duration::seconds(6));
+
+  ASSERT_FALSE(loop.cycle_in_progress());
+  ASSERT_FALSE(loop.cycles().empty());
+  EXPECT_EQ(loop.cycles().back().outcome, CycleOutcome::kRolledBack);
+  EXPECT_EQ(loop.cycles().back().error_code, "promote_margin");
   EXPECT_EQ(loop.handle().version(), 1u);
   EXPECT_EQ(loop.registry().active_version(), 1u);
 }

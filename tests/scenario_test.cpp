@@ -448,7 +448,9 @@ TEST(WormBehavior, InfectionChainStaysOnTheReachableSurface) {
         << "infected host off the susceptible surface";
     EXPECT_TRUE(infected.insert(chain[i].host_id).second)
         << "host infected twice";
-    if (i > 0) EXPECT_GE(chain[i].at, chain[i - 1].at);
+    if (i > 0) {
+      EXPECT_GE(chain[i].at, chain[i - 1].at);
+    }
     if (chain[i].source_host_id != 0) {
       campus_to_campus = true;
       EXPECT_TRUE(infected.count(chain[i].source_host_id))

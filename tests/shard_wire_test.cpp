@@ -105,9 +105,13 @@ void expect_stats_equal(const QueryStats& a, const QueryStats& b) {
 
 void expect_query_equal(const FlowQuery& a, const FlowQuery& b) {
   EXPECT_EQ(a.from.has_value(), b.from.has_value());
-  if (a.from && b.from) EXPECT_EQ(a.from->nanos(), b.from->nanos());
+  if (a.from && b.from) {
+    EXPECT_EQ(a.from->nanos(), b.from->nanos());
+  }
   EXPECT_EQ(a.to.has_value(), b.to.has_value());
-  if (a.to && b.to) EXPECT_EQ(a.to->nanos(), b.to->nanos());
+  if (a.to && b.to) {
+    EXPECT_EQ(a.to->nanos(), b.to->nanos());
+  }
   EXPECT_EQ(a.src, b.src);
   EXPECT_EQ(a.dst, b.dst);
   EXPECT_EQ(a.host, b.host);
@@ -542,7 +546,8 @@ std::vector<std::uint8_t> golden_stream() {
     f.tuple = packet::FiveTuple{
         Ipv4Address(10, 2, 0, static_cast<std::uint8_t>(1 + i % 3)),
         Ipv4Address(192, 0, 2, static_cast<std::uint8_t>(1 + i % 2)),
-        static_cast<std::uint16_t>(40'000 + i), i % 4 == 0 ? 53 : 443,
+        static_cast<std::uint16_t>(40'000 + i),
+        static_cast<std::uint16_t>(i % 4 == 0 ? 53 : 443),
         i % 3 == 0 ? std::uint8_t{17} : std::uint8_t{6}};
     f.initial_direction =
         i % 2 == 0 ? sim::Direction::kInbound : sim::Direction::kOutbound;

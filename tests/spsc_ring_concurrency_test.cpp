@@ -74,9 +74,10 @@ TEST(SpscRingConcurrency, PushFailuresExactlyMatchConsumerGap) {
   for (;;) {
     if (ring.try_pop(out)) {
       ASSERT_TRUE(out != nullptr);
-      if (any)
+      if (any) {
         ASSERT_GT(*out, last_seen)
             << "sequence went backwards: duplication or reordering";
+      }
       last_seen = *out;
       any = true;
       ++consumed;
