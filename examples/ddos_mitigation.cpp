@@ -110,7 +110,10 @@ int main() {
       "%.4f over %llu packets\n",
       cs.would_drop_precision(), cs.would_block_rate(),
       cs.would_benign_loss(), (unsigned long long)cs.observed);
-  if (!canary.value()->ready_to_promote(0.95, 0.85)) {
+  testbed::CanaryDeployment::Gate gate;
+  gate.min_precision = 0.95;
+  gate.min_block_rate = 0.85;
+  if (!canary.value()->evaluate(gate).ok()) {
     std::puts("      canary says NOT ready; stopping before enforcement");
     return 1;
   }

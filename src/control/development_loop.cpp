@@ -17,15 +17,25 @@ std::int64_t now_us() {
 }
 
 /// Register-feature mask for the packet feature space (used when the
-/// dataset is the per-packet one; other feature spaces get no mask).
-std::vector<bool> register_mask_for(const ml::Dataset& data) {
-  std::vector<bool> mask(data.n_features(), false);
-  if (data.feature_names() == features::packet_feature_names()) {
+/// features are the per-packet ones; other feature spaces get no mask).
+std::vector<bool> register_mask_for(
+    const std::vector<std::string>& feature_names) {
+  std::vector<bool> mask(feature_names.size(), false);
+  if (feature_names == features::packet_feature_names()) {
     for (std::size_t f = 0; f < mask.size(); ++f)
       mask[f] = features::is_register_feature(
           static_cast<features::PacketFeature>(f));
   }
   return mask;
+}
+
+/// The student was trained on quantized values, so programs run with
+/// the identity mapping over the quantized grid.
+dataplane::Quantizer grid_quantizer_for(std::size_t n_features) {
+  return dataplane::Quantizer::from_ranges(
+      std::vector<std::pair<double, double>>(
+          n_features,
+          {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0}));
 }
 
 }  // namespace
@@ -92,14 +102,9 @@ Result<DeploymentPackage> DevelopmentLoop::compile(
   package.timings.extract_us = extracted.extract_us;
 
   // Step (iii): compile for the target, honoring the budget.
-  const auto mask = register_mask_for(trained.train);
-  // The student was trained on quantized values, so programs run with
-  // the identity mapping over the quantized grid.
-  std::vector<std::pair<double, double>> grid(
-      trained.train.n_features(),
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
+  const auto mask = register_mask_for(trained.train.feature_names());
   const auto grid_quantizer =
-      dataplane::Quantizer::from_ranges(std::move(grid));
+      grid_quantizer_for(trained.train.n_features());
 
   const auto policy = package.policy();
   auto try_tree = [&]() -> Result<dataplane::ResourceReport> {
@@ -197,14 +202,6 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> per_class_hits(
 
 }  // namespace
 
-double DeploymentPackage::accuracy_on(const ml::Dataset& raw) const {
-  if (raw.n_rows() == 0) return 0.0;
-  const auto hits = per_class_hits(*this, raw);
-  std::uint64_t correct = 0;
-  for (const auto& [c, t] : hits) correct += c;
-  return static_cast<double>(correct) / static_cast<double>(raw.n_rows());
-}
-
 double DeploymentPackage::balanced_accuracy_on(
     const ml::Dataset& raw) const {
   if (raw.n_rows() == 0) return 0.0;
@@ -221,17 +218,9 @@ double DeploymentPackage::balanced_accuracy_on(
 
 Result<std::unique_ptr<dataplane::SoftwareSwitch>>
 DeploymentPackage::instantiate() const {
-  std::vector<bool> mask(student.feature_names().size(), false);
-  if (student.feature_names() == features::packet_feature_names()) {
-    for (std::size_t f = 0; f < mask.size(); ++f)
-      mask[f] = features::is_register_feature(
-          static_cast<features::PacketFeature>(f));
-  }
-  std::vector<std::pair<double, double>> grid(
-      student.feature_names().size(),
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
+  const auto mask = register_mask_for(student.feature_names());
   const auto grid_quantizer =
-      dataplane::Quantizer::from_ranges(std::move(grid));
+      grid_quantizer_for(student.feature_names().size());
 
   std::unique_ptr<dataplane::CompiledClassifier> program;
   if (strategy == "rule_tcam") {

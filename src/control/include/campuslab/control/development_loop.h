@@ -78,11 +78,6 @@ struct DeploymentPackage {
   /// program (each deployment owns its register state).
   Result<std::unique_ptr<dataplane::SoftwareSwitch>> instantiate() const;
 
-  /// Accuracy of the deployable model on a RAW (unquantized) packet
-  /// dataset, quantized through this package's own quantizer — how a
-  /// continual-learning loop scores an incumbent on fresh data.
-  double accuracy_on(const ml::Dataset& raw_dataset) const;
-
   /// Class-balanced accuracy (mean per-class recall) on a RAW dataset.
   /// The automation loop's promote margin is judged on this: windows
   /// are dominated by benign rows, so plain accuracy hides a model that

@@ -46,12 +46,12 @@ ml::Dataset build_from_store(const store::DataStore& store,
                              std::vector<std::uint32_t>* scenario_ids) {
   ml::Dataset data(flow_feature_names(), dataset_class_names(opt));
   if (scenario_ids != nullptr) scenario_ids->clear();
-  store.for_each([&](const store::StoredFlow& stored) {
-    const auto x = extract_flow_features(stored.flow);
-    data.add(x, dataset_label(stored.flow.majority_label(), opt));
-    if (scenario_ids != nullptr)
-      scenario_ids->push_back(stored.flow.scenario_id);
-  });
+  for (auto cur = store.open_cursor(store::FlowQuery{}); cur.next();) {
+    const auto& flow = cur.current().flow;
+    const auto x = extract_flow_features(flow);
+    data.add(x, dataset_label(flow.majority_label(), opt));
+    if (scenario_ids != nullptr) scenario_ids->push_back(flow.scenario_id);
+  }
   return data;
 }
 

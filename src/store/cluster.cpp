@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
+#include <tuple>
 
 #include "campuslab/resilience/fault.h"
 #include "campuslab/util/hash.h"
@@ -73,16 +73,6 @@ NodeId HashRing::primary_for_key(std::uint64_t key) const noexcept {
 
 namespace {
 
-void accumulate(QueryStats& into, const QueryStats& part) {
-  into.segments_pinned += part.segments_pinned;
-  into.segments_scanned += part.segments_scanned;
-  into.index_hits += part.index_hits;
-  into.rows_scanned += part.rows_scanned;
-  into.cold_loaded += part.cold_loaded;
-  into.cold_pruned += part.cold_pruned;
-  into.cold_load_failures += part.cold_load_failures;
-}
-
 /// K-way merge by ascending id with duplicate-id elision (replication
 /// factors > 2 place one flow in several replica stores; every copy is
 /// identical, keyed by its global id). Inputs are each ascending.
@@ -119,6 +109,26 @@ std::vector<StoredFlow> merge_rows(std::vector<std::vector<StoredFlow>> parts,
 
 std::string node_label(NodeId node) {
   return "node=" + std::to_string(node);
+}
+
+/// Order gathered log events by (ts, source, severity, message),
+/// stably; with `dedup`, collapse the field-identical copies that
+/// overlapping stores return.
+void sort_logs(std::vector<LogEvent>& events, bool dedup) {
+  const auto key = [](const LogEvent& e) {
+    return std::tie(e.ts, e.source, e.severity, e.message);
+  };
+  std::stable_sort(events.begin(), events.end(),
+                   [&](const LogEvent& a, const LogEvent& b) {
+                     return key(a) < key(b);
+                   });
+  if (!dedup) return;
+  events.erase(std::unique(events.begin(), events.end(),
+                           [&](const LogEvent& a, const LogEvent& b) {
+                             return key(a) == key(b) &&
+                                    a.subject == b.subject;
+                           }),
+               events.end());
 }
 
 }  // namespace
@@ -383,7 +393,7 @@ std::vector<StoredFlow> Cluster::gather_scope(NodeId owner,
     if (reply.ok()) {
       primary_ok = true;
       ++stats.shards_queried;
-      accumulate(stats.scan, reply.value().stats);
+      stats.scan += reply.value().stats;
       if (!lagged) return std::move(reply).value().rows;
       parts.push_back(std::move(reply).value().rows);
     } else {
@@ -401,7 +411,7 @@ std::vector<StoredFlow> Cluster::gather_scope(NodeId owner,
       continue;
     }
     ++stats.shards_queried;
-    accumulate(stats.scan, reply.value().stats);
+    stats.scan += reply.value().stats;
     parts.push_back(std::move(reply).value().rows);
   }
   if (parts.empty()) return {};
@@ -431,36 +441,7 @@ AggregateResult Cluster::aggregate(const FlowQuery& q, GroupBy group_by,
   ClusterQueryStats stats;
   AggregateResult result;
   result.group_by = group_by;
-  std::unordered_map<std::uint64_t, AggregateRow> merged;
-  auto fold_row = [&](std::uint64_t key, std::uint64_t flows_count,
-                      std::uint64_t packets, std::uint64_t bytes) {
-    AggregateRow& into = merged[key];
-    into.key = key;
-    into.flows += flows_count;
-    into.packets += packets;
-    into.bytes += bytes;
-  };
-  // Degraded scopes fall back to row gathering: shard-side partials
-  // from overlapping replica stores would double-count at replication
-  // factors > 2, while merged rows are deduped by id.
-  auto fold_flow = [&](const capture::FlowRecord& f) {
-    switch (group_by) {
-      case GroupBy::kHost:
-        fold_row(f.tuple.src.value(), 1, f.packets, f.bytes);
-        if (f.tuple.dst != f.tuple.src)
-          fold_row(f.tuple.dst.value(), 1, f.packets, f.bytes);
-        break;
-      case GroupBy::kPort:
-        fold_row(f.tuple.src_port, 1, f.packets, f.bytes);
-        if (f.tuple.dst_port != f.tuple.src_port)
-          fold_row(f.tuple.dst_port, 1, f.packets, f.bytes);
-        break;
-      case GroupBy::kLabel:
-        fold_row(static_cast<std::uint64_t>(f.majority_label()), 1,
-                 f.packets, f.bytes);
-        break;
-    }
-  };
+  AggregateGroups merged;
   for (NodeId owner = 0; owner < nodes_.size(); ++owner) {
     const bool lagged =
         nodes_[owner]->replica_lag.load(std::memory_order_relaxed) > 0;
@@ -471,33 +452,24 @@ AggregateResult Cluster::aggregate(const FlowQuery& q, GroupBy group_by,
       });
       if (reply.ok()) {
         ++stats.shards_queried;
-        accumulate(stats.scan, reply.value().stats);
+        stats.scan += reply.value().stats;
         result.matched_flows += reply.value().matched_flows;
-        for (const auto& row : reply.value().rows)
-          fold_row(row.key, row.flows, row.packets, row.bytes);
+        for (const auto& row : reply.value().rows) fold_row(merged, row);
         continue;
       }
       ++stats.rpc_failures;
       obs_degraded_queries_->increment();
     }
     // Degraded or under-replicated scope: gather deduped rows (shard
-    // partials could double-count overlapping copies) and fold here.
+    // partials from overlapping replica stores could double-count at
+    // replication factors > 2) and fold them here by the shards' rule.
     ShardQueryPlan plan;
     plan.query = filter;
     const auto rows = gather_scope(owner, plan, stats);
     result.matched_flows += rows.size();
-    for (const auto& row : rows) fold_flow(row.flow);
+    for (const auto& row : rows) fold_flow(merged, group_by, row.flow);
   }
-  result.rows.reserve(merged.size());
-  for (const auto& [key, row] : merged) result.rows.push_back(row);
-  // Exactly execute_aggregate's ordering: bytes desc, key asc (total,
-  // so the top_k prefix matches the single-node partial_sort).
-  std::sort(result.rows.begin(), result.rows.end(),
-            [](const AggregateRow& a, const AggregateRow& b) {
-              if (a.bytes != b.bytes) return a.bytes > b.bytes;
-              return a.key < b.key;
-            });
-  if (top_k > 0 && top_k < result.rows.size()) result.rows.resize(top_k);
+  result.rows = ranked_rows(merged, top_k);
   result.stats = stats.scan;
   return result;
 }
@@ -526,21 +498,7 @@ LogResult Cluster::query_logs(const LogQuery& q) const {
       for (const auto& ev : reply.value()) events.push_back(ev);
     }
   }
-  const auto key = [](const LogEvent& e) {
-    return std::tie(e.ts, e.source, e.severity, e.message);
-  };
-  std::stable_sort(events.begin(), events.end(),
-                   [&](const LogEvent& a, const LogEvent& b) {
-                     return key(a) < key(b);
-                   });
-  if (overlap) {
-    events.erase(std::unique(events.begin(), events.end(),
-                             [&](const LogEvent& a, const LogEvent& b) {
-                               return key(a) == key(b) &&
-                                      a.subject == b.subject;
-                             }),
-                 events.end());
-  }
+  sort_logs(events, overlap);
   if (events.size() > q.limit) events.resize(q.limit);
   return LogResult(std::move(events));
 }
@@ -612,19 +570,7 @@ CatalogInfo Cluster::catalog() const {
       if (!reply.ok()) continue;
       for (const auto& ev : reply.value()) events.push_back(ev);
     }
-    const auto key = [](const LogEvent& e) {
-      return std::tie(e.ts, e.source, e.severity, e.message);
-    };
-    std::stable_sort(events.begin(), events.end(),
-                     [&](const LogEvent& a, const LogEvent& b) {
-                       return key(a) < key(b);
-                     });
-    events.erase(std::unique(events.begin(), events.end(),
-                             [&](const LogEvent& a, const LogEvent& b) {
-                               return key(a) == key(b) &&
-                                      a.subject == b.subject;
-                             }),
-                 events.end());
+    sort_logs(events, true);
     total.total_log_events += events.size();
   }
   return total;
@@ -737,7 +683,7 @@ bool ClusterCursor::refill(Stream& stream) {
   }
   ShardQueryRows msg = std::move(reply).value();
   ++stats_.shards_queried;
-  accumulate(stats_.scan, msg.stats);
+  stats_.scan += msg.stats;
   stream.buffer = std::move(msg.rows);
   stream.pos = 0;
   if (!stream.buffer.empty()) stream.after_id = stream.buffer.back().id;

@@ -85,6 +85,29 @@ void build_index(PostingIndex<Key>& index,
   index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
 }
 
+// The bodies of the query() and aggregate() overload pairs: the fault
+// site, a snapshot pinned now, the timing and the counters.
+QueryResult run_query(const DataStore& store, const FlowQuery& q,
+                      ScanPool* pool) {
+  resilience::fault_point("store.query");
+  const auto t0 = obs::monotonic_ns();
+  auto result = execute_query(store.snapshot(), q, pool);
+  StoreMetrics::get().record_query(obs::monotonic_ns() - t0,
+                                   result.stats(), result.size());
+  return result;
+}
+
+AggregateResult run_aggregate(const DataStore& store, const FlowQuery& q,
+                              GroupBy group_by, std::size_t top_k,
+                              ScanPool* pool) {
+  resilience::fault_point("store.query");
+  const auto t0 = obs::monotonic_ns();
+  auto result = execute_aggregate(store.snapshot(), q, group_by, top_k, pool);
+  StoreMetrics::get().record_query(obs::monotonic_ns() - t0, result.stats,
+                                   result.rows.size());
+  return result;
+}
+
 }  // namespace
 
 void Segment::seal() {
@@ -95,14 +118,15 @@ void Segment::seal() {
   ports.reserve(static_cast<std::size_t>(n) * 2);
   for (std::uint32_t row = 0; row < n; ++row) {
     const auto& f = flows[row].flow;
-    const auto pair = [row](std::uint64_t key) { return key << 32 | row; };
-    hosts.push_back(pair(f.tuple.src.value()));
-    if (f.tuple.dst != f.tuple.src)
-      hosts.push_back(pair(f.tuple.dst.value()));
-    ports.push_back(pair(f.tuple.src_port));
-    if (f.tuple.dst_port != f.tuple.src_port)
-      ports.push_back(pair(f.tuple.dst_port));
-    by_label[static_cast<std::size_t>(f.majority_label())].push_back(row);
+    for_each_group_key(GroupBy::kHost, f, [&](std::uint64_t key) {
+      hosts.push_back(key << 32 | row);
+    });
+    for_each_group_key(GroupBy::kPort, f, [&](std::uint64_t key) {
+      ports.push_back(key << 32 | row);
+    });
+    for_each_group_key(GroupBy::kLabel, f, [&](std::uint64_t key) {
+      by_label[key].push_back(row);
+    });
   }
   build_index(by_host, hosts);
   build_index(by_port, ports);
@@ -208,43 +232,22 @@ StoreSnapshot DataStore::snapshot() const {
 }
 
 QueryResult DataStore::query(const FlowQuery& q) const {
-  resilience::fault_point("store.query");
-  const auto t0 = obs::monotonic_ns();
-  auto result = execute_query(snapshot(), q, configured_pool());
-  StoreMetrics::get().record_query(obs::monotonic_ns() - t0,
-                                   result.stats(), result.size());
-  return result;
+  return run_query(*this, q, configured_pool());
 }
 
 QueryResult DataStore::query(const FlowQuery& q, ScanPool& pool) const {
-  resilience::fault_point("store.query");
-  const auto t0 = obs::monotonic_ns();
-  auto result = execute_query(snapshot(), q, &pool);
-  StoreMetrics::get().record_query(obs::monotonic_ns() - t0,
-                                   result.stats(), result.size());
-  return result;
+  return run_query(*this, q, &pool);
 }
 
 AggregateResult DataStore::aggregate(const FlowQuery& q, GroupBy group_by,
                                      std::size_t top_k) const {
-  resilience::fault_point("store.query");
-  const auto t0 = obs::monotonic_ns();
-  auto result =
-      execute_aggregate(snapshot(), q, group_by, top_k, configured_pool());
-  StoreMetrics::get().record_query(obs::monotonic_ns() - t0, result.stats,
-                                   result.rows.size());
-  return result;
+  return run_aggregate(*this, q, group_by, top_k, configured_pool());
 }
 
 AggregateResult DataStore::aggregate(const FlowQuery& q, GroupBy group_by,
                                      std::size_t top_k,
                                      ScanPool& pool) const {
-  resilience::fault_point("store.query");
-  const auto t0 = obs::monotonic_ns();
-  auto result = execute_aggregate(snapshot(), q, group_by, top_k, &pool);
-  StoreMetrics::get().record_query(obs::monotonic_ns() - t0, result.stats,
-                                   result.rows.size());
-  return result;
+  return run_aggregate(*this, q, group_by, top_k, &pool);
 }
 
 QueryCursor DataStore::open_cursor(FlowQuery q) const {
@@ -265,26 +268,6 @@ LogResult DataStore::query_logs(const LogQuery& q) const {
     }
   }
   return LogResult(std::move(out));
-}
-
-void DataStore::for_each(
-    const std::function<void(const StoredFlow&)>& fn) const {
-  const auto snap = snapshot();
-  for (const auto& pin : snap.segments()) {
-    // Cold segments load one at a time and release before the next:
-    // a full-store export stays O(one segment) of resident cold data.
-    std::shared_ptr<const Segment> loaded;
-    const Segment* seg = pin.segment.get();
-    if (seg == nullptr) {
-      if (pin.cold == nullptr) continue;
-      auto r = pin.cold->load();
-      if (!r.ok()) continue;  // counted in store.cold_load_failures
-      loaded = std::move(r).value();
-      seg = loaded.get();
-    }
-    const StoredFlow* flows = seg->flows.data();
-    for (std::uint32_t i = 0; i < pin.count; ++i) fn(flows[i]);
-  }
 }
 
 std::uint64_t DataStore::enforce_retention(Timestamp now) {

@@ -233,7 +233,7 @@ class Cluster {
   AggregateResult aggregate(const FlowQuery& q, GroupBy group_by,
                             std::size_t top_k = 0) const;
   ClusterCursor open_cursor(FlowQuery q) const;
-  /// Gathered log events, merged by (ts, source, subject, message).
+  /// Gathered log events, merged by (ts, source, severity, message).
   LogResult query_logs(const LogQuery& q) const;
   /// Summed per-scope catalogs (replica-scoped when an owner is dead).
   CatalogInfo catalog() const;

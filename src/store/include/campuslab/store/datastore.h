@@ -10,19 +10,21 @@
 // Concurrency contract: ingest(), ingest_log() and enforce_retention()
 // mutate under the store mutex and may each run from one thread at a
 // time (the ShardedFlowIngester merge thread in the pipeline); every
-// read path — query(), aggregate(), cursors, for_each(), catalog() —
-// pins a StoreSnapshot under that mutex for O(segments) and then runs
+// read path — query(), aggregate(), cursors, catalog() — pins a
+// StoreSnapshot under that mutex for O(segments) and then runs
 // lock-free against immutable pinned state, fully concurrent with
 // ingest and retention (snapshot.h explains why this is race-free).
 // Results own their snapshot: rows stay valid for the result's
-// lifetime no matter what the writer does meanwhile.
+// lifetime no matter what the writer does meanwhile. A row a cursor
+// yields from a cold segment is the exception: it is valid until the
+// cursor's following next() call, because the cursor keeps at most one
+// cold decode.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -122,17 +124,15 @@ class DataStore {
   AggregateResult aggregate(const FlowQuery& q, GroupBy group_by,
                             std::size_t top_k, ScanPool& pool) const;
 
-  /// Streaming evaluation: pins a snapshot now, walks it row by row
-  /// without materializing (million-flow scans in O(1) memory).
+  /// Streaming evaluation: pins a snapshot now and walks it one
+  /// segment at a time without materializing the result, holding one
+  /// segment's matching row pointers and at most one cold decode. This
+  /// is also the full-store export path (dataset building).
   QueryCursor open_cursor(FlowQuery q) const;
 
   /// Pin the current segment list (the primitive under every read
   /// path; public for tools that batch several reads on one view).
   StoreSnapshot snapshot() const;
-
-  /// Visit every stored flow in ingest order (dataset export). Runs on
-  /// a pinned snapshot: consistent, and concurrent with ingest.
-  void for_each(const std::function<void(const StoredFlow&)>& fn) const;
 
   /// Drop whole segments entirely older than now - retention.
   /// Returns flows evicted. Snapshots pinned before the call keep

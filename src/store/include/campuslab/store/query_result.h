@@ -7,13 +7,13 @@
 // ingest or retention runs meanwhile. LogResult owns sanitized copies
 // (log events are small and mutate in place, so copying beats
 // pinning). QueryCursor is the non-materializing path: it pins the
-// same snapshot but walks it row by row, so a million-flow scan costs
-// O(1) memory.
+// same snapshot but scans it one segment at a time, so a million-flow
+// scan holds one segment's matching row pointers and at most one cold
+// decode. A cold row from current() is therefore valid until the
+// following call to next(), not for the cursor's lifetime.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "campuslab/store/snapshot.h"
@@ -39,6 +39,19 @@ struct QueryStats {
   std::size_t cold_loaded = 0;
   std::size_t cold_pruned = 0;
   std::size_t cold_load_failures = 0;
+
+  /// Add another scan's work counters (one segment's, one shard's);
+  /// `index` and `threads` stay as they are.
+  QueryStats& operator+=(const QueryStats& part) noexcept {
+    segments_pinned += part.segments_pinned;
+    segments_scanned += part.segments_scanned;
+    index_hits += part.index_hits;
+    rows_scanned += part.rows_scanned;
+    cold_loaded += part.cold_loaded;
+    cold_pruned += part.cold_pruned;
+    cold_load_failures += part.cold_load_failures;
+    return *this;
+  }
 };
 
 /// Materialized flow-query result: iterable, indexable, and alive for
@@ -135,9 +148,13 @@ class LogResult {
 ///   auto cur = store.open_cursor(std::move(q));
 ///   while (cur.next()) consume(cur.current());
 ///
-/// The cursor observes exactly what a materializing query() against
-/// the same snapshot would return, including the planner's index
-/// choice and the query limit.
+/// The cursor is a serial query() run one segment at a time: it scans
+/// the next pinned segment into a buffer of matching row pointers
+/// (capped at the rows the limit still allows), yields from it, and
+/// drops the previous segment's cold decode when it moves on. It
+/// observes exactly what a materializing query() against the same
+/// snapshot would return, including the planner's index choice and the
+/// query limit.
 class QueryCursor {
  public:
   QueryCursor(StoreSnapshot snapshot, FlowQuery query);
@@ -146,30 +163,25 @@ class QueryCursor {
   /// query limit is reached).
   bool next();
 
-  /// The row next() stopped on. Valid until the next call to next();
-  /// the underlying storage outlives the cursor via the snapshot pin.
+  /// The row next() stopped on. Valid until the next call to next(),
+  /// which may release the cold segment it was read from.
   const StoredFlow& current() const noexcept { return *current_; }
 
   /// Matching rows produced so far.
   std::uint64_t produced() const noexcept { return produced_; }
 
-  /// Work counters so far (index choice fixed at construction).
+  /// Work counters of the segments scanned so far (index choice fixed
+  /// at construction).
   const QueryStats& stats() const noexcept { return stats_; }
 
  private:
-  bool open_next_segment();
-
   StoreSnapshot snapshot_;
   FlowQuery query_;
   QueryStats stats_;
   const StoredFlow* current_ = nullptr;
   std::size_t next_segment_ = 0;
-  bool segment_open_ = false;
-  const Segment* segment_ = nullptr;
-  std::uint32_t count_ = 0;  // pinned rows of the open segment
-  // The open segment's index rows; nullopt = scan its pinned prefix.
-  std::optional<std::span<const std::uint32_t>> candidates_;
-  std::size_t pos_ = 0;
+  std::vector<const StoredFlow*> rows_;  // the scanned segment's matches
+  std::size_t pos_ = 0;                  // next row of rows_ to yield
   std::uint64_t produced_ = 0;
 };
 

@@ -75,10 +75,10 @@ struct Segment {
   }
 
   /// Build the inverted indexes from `flows`, then mark the segment
-  /// sealed. Each row is listed under its src host, and under its dst
-  /// host when that differs; under its src port, and under its dst port
-  /// when that differs; and under its majority label. Called once: the
-  /// store calls it under its mutex when the segment fills.
+  /// sealed. Each row is listed under its host, port and label keys by
+  /// the aggregation key rule (for_each_group_key in aggregate.h), so
+  /// an index lookup finds exactly the rows a group-by credits. Called
+  /// once: the store calls it under its mutex when the segment fills.
   void seal();
 
   std::vector<StoredFlow> flows;  // append-only; never reallocates

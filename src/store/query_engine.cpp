@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "campuslab/store/segment_file.h"
 
@@ -92,61 +91,62 @@ void ScanPool::parallel_for(std::size_t n,
 
 namespace {
 
-// Per-segment tiering outcomes, merged into QueryStats afterwards.
-struct ColdStats {
-  std::size_t loaded = 0;
-  std::size_t pruned = 0;
-  std::size_t load_failures = 0;
-};
-
-// The rows an index lists for one pinned segment, viewed in place;
-// nullopt = no index applies, scan the pinned prefix.
-using Candidates = std::optional<std::span<const std::uint32_t>>;
-
-// Resolve the access path for one pinned segment: false = the segment
-// contributes nothing (time-pruned or index miss).
+// The one per-segment scan under every read: execute_query,
+// execute_aggregate, scan_chunk and QueryCursor differ only in the
+// `visit` they pass. It hands `visit` each row of `pin` that has an id
+// above `after_id` and matches `q`, in ascending offset order, until
+// `visit` returns false; it returns false iff `visit` stopped it. The
+// segment's work is counted into `stats`.
+//
+// Segments are read in ascending-id order, so one whose last id is at
+// or below `after_id` was drained by an earlier chunk and is skipped
+// (a cold one without I/O). Ids start at 1: after_id 0 skips nothing.
 //
 // Cold pins resolve here: the zone map prunes the whole file against
 // the query's time bounds before any I/O; a surviving file is decoded
 // (concurrent queries share one decode through the handle) and the
-// loaded shared_ptr is parked in the pin, so the snapshot — and every
-// result holding it — owns the rows it scanned. From that point a
-// cold segment is scanned by exactly the code that scans a hot one,
-// which is what makes results bit-identical across tiers. A load
-// failure (corrupt or vanished file) contributes zero rows and a
-// cold_load_failures tick, never UB.
-bool open_segment_scan(PinnedSegment& pin, const FlowQuery& q,
-                       IndexKind plan, Candidates& candidates,
-                       ColdStats& cold) {
-  candidates.reset();
-  if (pin.count == 0) return false;
+// loaded shared_ptr is parked in the pin, so the snapshot owns the rows
+// it scanned. From that point a cold segment is scanned by exactly the
+// code that scans a hot one, which is what makes results bit-identical
+// across tiers. A load failure (corrupt or vanished file) contributes
+// zero rows and a cold_load_failures tick, never UB.
+template <typename Visit>
+bool scan_segment(PinnedSegment& pin, const FlowQuery& q, IndexKind plan,
+                  std::uint64_t after_id, QueryStats& stats, Visit&& visit) {
+  if (pin.count == 0) return true;
   if (pin.segment == nullptr) {
-    if (pin.cold == nullptr) return false;
+    if (pin.cold == nullptr) return true;
     const SegmentZoneMap& zone = pin.cold->zone();
+    if (zone.id_hi <= after_id) return true;
     if ((q.from && zone.max_ts < *q.from) ||
         (q.to && zone.min_ts > *q.to)) {
-      ++cold.pruned;
-      return false;
+      ++stats.cold_pruned;
+      return true;
     }
     auto loaded = pin.cold->load();
     if (!loaded.ok()) {
-      ++cold.load_failures;
-      return false;
+      ++stats.cold_load_failures;
+      return true;
     }
     pin.segment = std::move(loaded).value();
-    ++cold.loaded;
+    ++stats.cold_loaded;
+  } else if (pin.segment->flows.data()[pin.count - 1].id <= after_id) {
+    return true;
   }
   const Segment& seg = *pin.segment;
+  // The rows an index lists, viewed in place; nullopt = no index
+  // applies, scan the pinned prefix.
+  std::optional<std::span<const std::uint32_t>> candidates;
   if (pin.indexed) {
     // min/max are stable only once sealed; the open tail is never
     // pruned (its rows still pass through the full predicate).
-    if (q.from && seg.max_ts < *q.from) return false;
-    if (q.to && seg.min_ts > *q.to) return false;
+    if (q.from && seg.max_ts < *q.from) return true;
+    if (q.to && seg.min_ts > *q.to) return true;
     switch (plan) {
       case IndexKind::kHost: {
         const auto addr = q.host ? *q.host : (q.src ? *q.src : *q.dst);
         candidates = seg.by_host.find(addr.value());
-        if (candidates->empty()) return false;
+        if (candidates->empty()) return true;
         break;
       }
       case IndexKind::kLabel:
@@ -154,51 +154,43 @@ bool open_segment_scan(PinnedSegment& pin, const FlowQuery& q,
         break;
       case IndexKind::kPort:
         candidates = seg.by_port.find(*q.port);
-        if (candidates->empty()) return false;
+        if (candidates->empty()) return true;
         break;
       case IndexKind::kTimeScan:
         break;
     }
   }
+  ++stats.segments_scanned;
+  // data() + pinned count, never size()/iterators: the open tail may
+  // be appending concurrently (snapshot.h).
+  const StoredFlow* flows = seg.flows.data();
+  const auto consume = [&](const StoredFlow& row) {
+    ++stats.rows_scanned;
+    return row.id <= after_id || !q.matches(row) || visit(row);
+  };
+  if (candidates) {
+    stats.index_hits += candidates->size();
+    for (const std::uint32_t offset : *candidates)
+      if (!consume(flows[offset])) return false;
+  } else {
+    for (std::uint32_t i = 0; i < pin.count; ++i)
+      if (!consume(flows[i])) return false;
+  }
   return true;
 }
 
-struct SegmentScan {
-  std::vector<const StoredFlow*> rows;
-  std::size_t index_hits = 0;
-  std::size_t rows_scanned = 0;
-  bool scanned = false;
-  ColdStats cold;
-};
+// Append the rows of `pin` matching `q` to `rows` until it holds `cap`.
+void collect_rows(PinnedSegment& pin, const FlowQuery& q, IndexKind plan,
+                  std::size_t cap, QueryStats& stats,
+                  std::vector<const StoredFlow*>& rows) {
+  scan_segment(pin, q, plan, 0, stats, [&](const StoredFlow& row) {
+    rows.push_back(&row);
+    return rows.size() < cap;
+  });
+}
 
-void scan_segment(PinnedSegment& pin, const FlowQuery& q,
-                  IndexKind plan, std::size_t limit, SegmentScan& out) {
-  Candidates candidates;
-  if (!open_segment_scan(pin, q, plan, candidates, out.cold)) return;
-  out.scanned = true;
-  // data() + pinned count, never size()/iterators: the open tail may
-  // be appending concurrently (snapshot.h).
-  const StoredFlow* flows = pin.segment->flows.data();
-  if (candidates) {
-    out.index_hits = candidates->size();
-    for (const auto offset : *candidates) {
-      const auto& stored = flows[offset];
-      ++out.rows_scanned;
-      if (q.matches(stored)) {
-        out.rows.push_back(&stored);
-        if (out.rows.size() >= limit) return;
-      }
-    }
-  } else {
-    for (std::uint32_t i = 0; i < pin.count; ++i) {
-      const auto& stored = flows[i];
-      ++out.rows_scanned;
-      if (q.matches(stored)) {
-        out.rows.push_back(&stored);
-        if (out.rows.size() >= limit) return;
-      }
-    }
-  }
+bool runs_parallel(const ScanPool* pool, std::size_t segments) {
+  return pool != nullptr && pool->threads() > 1 && segments > 1;
 }
 
 }  // namespace
@@ -211,19 +203,24 @@ QueryResult execute_query(StoreSnapshot snapshot, const FlowQuery& q,
   // Mutable pins: cold resolution parks loaded segments in them, and
   // parallel tasks each touch a distinct element (race-free).
   auto& segs = snapshot.segments_mut();
-  std::vector<SegmentScan> partial(segs.size());
-  const bool parallel = pool != nullptr && pool->threads() > 1 &&
-                        segs.size() > 1;
+  struct SegmentRows {
+    std::vector<const StoredFlow*> rows;
+    QueryStats stats;
+  };
+  std::vector<SegmentRows> partial(segs.size());
+  const bool parallel = runs_parallel(pool, segs.size());
   if (parallel) {
     pool->parallel_for(segs.size(), [&](std::size_t i) {
-      scan_segment(segs[i], q, plan, q.limit, partial[i]);
+      collect_rows(segs[i], q, plan, q.limit, partial[i].stats,
+                   partial[i].rows);
     });
   } else {
     // Serial keeps the cross-segment early exit: stop planning work
     // once the limit is already met.
     std::size_t have = 0;
     for (std::size_t i = 0; i < segs.size() && have < q.limit; ++i) {
-      scan_segment(segs[i], q, plan, q.limit - have, partial[i]);
+      collect_rows(segs[i], q, plan, q.limit - have, partial[i].stats,
+                   partial[i].rows);
       have += partial[i].rows.size();
     }
   }
@@ -234,12 +231,7 @@ QueryResult execute_query(StoreSnapshot snapshot, const FlowQuery& q,
   stats.threads = parallel ? pool->threads() : 1;
   std::size_t total = 0;
   for (const auto& part : partial) {
-    stats.segments_scanned += part.scanned ? 1 : 0;
-    stats.index_hits += part.index_hits;
-    stats.rows_scanned += part.rows_scanned;
-    stats.cold_loaded += part.cold.loaded;
-    stats.cold_pruned += part.cold.pruned;
-    stats.cold_load_failures += part.cold.load_failures;
+    stats += part.stats;
     total += part.rows.size();
   }
   std::vector<const StoredFlow*> rows;
@@ -258,67 +250,26 @@ QueryResult execute_query(StoreSnapshot snapshot, const FlowQuery& q,
 AggregateResult execute_aggregate(StoreSnapshot snapshot,
                                   const FlowQuery& q, GroupBy group_by,
                                   std::size_t top_k, ScanPool* pool) {
-  // Aggregation consumes every match; a row limit on the filter query
-  // would make group totals depend on scan order, so it is ignored.
-  FlowQuery filter = q;
-  filter.limit = std::numeric_limits<std::size_t>::max();
-  const IndexKind plan = planned_index(filter);
+  // Aggregation consumes every match: the visitor never stops the scan,
+  // so q.limit, which would make group totals depend on scan order,
+  // is ignored.
+  const IndexKind plan = planned_index(q);
   auto& segs = snapshot.segments_mut();
-
-  struct SegmentAgg {
-    std::unordered_map<std::uint64_t, AggregateRow> groups;
+  struct SegmentGroups {
+    AggregateGroups groups;
     std::uint64_t matched = 0;
-    std::size_t index_hits = 0;
-    std::size_t rows_scanned = 0;
-    bool scanned = false;
-    ColdStats cold;
+    QueryStats stats;
   };
-  std::vector<SegmentAgg> partial(segs.size());
-
-  auto aggregate_segment = [&](std::size_t idx) {
-    PinnedSegment& pin = segs[idx];
-    SegmentAgg& out = partial[idx];
-    Candidates candidates;
-    if (!open_segment_scan(pin, filter, plan, candidates, out.cold)) return;
-    out.scanned = true;
-    const StoredFlow* flows = pin.segment->flows.data();
-    auto credit = [&out](std::uint64_t key, const capture::FlowRecord& f) {
-      AggregateRow& row = out.groups[key];
-      row.key = key;
-      ++row.flows;
-      row.packets += f.packets;
-      row.bytes += f.bytes;
-    };
-    auto consume = [&](const StoredFlow& stored) {
-      ++out.rows_scanned;
-      if (!filter.matches(stored)) return;
+  std::vector<SegmentGroups> partial(segs.size());
+  const auto aggregate_segment = [&](std::size_t i) {
+    SegmentGroups& out = partial[i];
+    scan_segment(segs[i], q, plan, 0, out.stats, [&](const StoredFlow& row) {
       ++out.matched;
-      const auto& f = stored.flow;
-      switch (group_by) {
-        case GroupBy::kHost:
-          credit(f.tuple.src.value(), f);
-          if (f.tuple.dst != f.tuple.src) credit(f.tuple.dst.value(), f);
-          break;
-        case GroupBy::kPort:
-          credit(f.tuple.src_port, f);
-          if (f.tuple.dst_port != f.tuple.src_port)
-            credit(f.tuple.dst_port, f);
-          break;
-        case GroupBy::kLabel:
-          credit(static_cast<std::uint64_t>(f.majority_label()), f);
-          break;
-      }
-    };
-    if (candidates) {
-      out.index_hits = candidates->size();
-      for (const auto offset : *candidates) consume(flows[offset]);
-    } else {
-      for (std::uint32_t i = 0; i < pin.count; ++i) consume(flows[i]);
-    }
+      fold_flow(out.groups, group_by, row.flow);
+      return true;
+    });
   };
-
-  const bool parallel = pool != nullptr && pool->threads() > 1 &&
-                        segs.size() > 1;
+  const bool parallel = runs_parallel(pool, segs.size());
   if (parallel) {
     pool->parallel_for(segs.size(), aggregate_segment);
   } else {
@@ -330,38 +281,36 @@ AggregateResult execute_aggregate(StoreSnapshot snapshot,
   result.stats.index = plan;
   result.stats.segments_pinned = segs.size();
   result.stats.threads = parallel ? pool->threads() : 1;
-  std::unordered_map<std::uint64_t, AggregateRow> merged;
+  AggregateGroups merged;
   for (const auto& part : partial) {
-    result.stats.segments_scanned += part.scanned ? 1 : 0;
-    result.stats.index_hits += part.index_hits;
-    result.stats.rows_scanned += part.rows_scanned;
-    result.stats.cold_loaded += part.cold.loaded;
-    result.stats.cold_pruned += part.cold.pruned;
-    result.stats.cold_load_failures += part.cold.load_failures;
+    result.stats += part.stats;
     result.matched_flows += part.matched;
-    for (const auto& [key, row] : part.groups) {
-      AggregateRow& into = merged[key];
-      into.key = key;
-      into.flows += row.flows;
-      into.packets += row.packets;
-      into.bytes += row.bytes;
-    }
+    for (const auto& [key, row] : part.groups) fold_row(merged, row);
   }
-  result.rows.reserve(merged.size());
-  for (const auto& [key, row] : merged) result.rows.push_back(row);
+  result.rows = ranked_rows(merged, top_k);
+  return result;
+}
+
+std::vector<AggregateRow> ranked_rows(const AggregateGroups& groups,
+                                      std::size_t top_k) {
+  std::vector<AggregateRow> rows;
+  rows.reserve(groups.size());
+  for (const auto& [key, row] : groups) rows.push_back(row);
+  // Keys are unique, so the order is total and the top_k prefix is the
+  // same however the groups were merged.
   const auto heavier = [](const AggregateRow& a, const AggregateRow& b) {
     if (a.bytes != b.bytes) return a.bytes > b.bytes;
     return a.key < b.key;
   };
-  if (top_k > 0 && top_k < result.rows.size()) {
-    std::partial_sort(result.rows.begin(),
-                      result.rows.begin() + static_cast<std::ptrdiff_t>(top_k),
-                      result.rows.end(), heavier);
-    result.rows.resize(top_k);
+  if (top_k > 0 && top_k < rows.size()) {
+    std::partial_sort(rows.begin(),
+                      rows.begin() + static_cast<std::ptrdiff_t>(top_k),
+                      rows.end(), heavier);
+    rows.resize(top_k);
   } else {
-    std::sort(result.rows.begin(), result.rows.end(), heavier);
+    std::sort(rows.begin(), rows.end(), heavier);
   }
-  return result;
+  return rows;
 }
 
 // ---------------------------------------------------------- scan_chunk
@@ -370,65 +319,21 @@ std::vector<StoredFlow> scan_chunk(StoreSnapshot snapshot, const FlowQuery& q,
                                    std::uint64_t after_id,
                                    std::size_t max_rows, QueryStats* stats,
                                    bool* exhausted) {
-  FlowQuery filter = q;
-  filter.limit = std::numeric_limits<std::size_t>::max();
-  const IndexKind plan = planned_index(filter);
   auto& segs = snapshot.segments_mut();
   QueryStats st;
-  st.index = plan;
+  st.index = planned_index(q);
   st.segments_pinned = segs.size();
-  st.threads = 1;
   std::vector<StoredFlow> rows;
-  bool done = true;
-  ColdStats cold;
-  if (max_rows == 0) {
-    done = false;  // a zero-row pull proves nothing about the tail
-  } else {
-    for (std::size_t si = 0; si < segs.size(); ++si) {
-      PinnedSegment& pin = segs[si];
-      if (pin.count == 0) continue;
-      if (after_id != 0) {
-        // Segments are consumed in ascending-id order, so a segment
-        // whose last id is at or below the resume token was fully
-        // drained by earlier pulls — skip it, cold ones without I/O.
-        if (pin.segment != nullptr) {
-          if (pin.segment->flows.data()[pin.count - 1].id <= after_id)
-            continue;
-        } else if (pin.cold != nullptr &&
-                   pin.cold->zone().id_hi <= after_id) {
-          continue;
-        }
-      }
-      Candidates candidates;
-      if (!open_segment_scan(pin, filter, plan, candidates, cold)) continue;
-      ++st.segments_scanned;
-      const StoredFlow* flows = pin.segment->flows.data();
-      // Returns false once the chunk is full.
-      auto consume = [&](const StoredFlow& stored) {
-        ++st.rows_scanned;
-        if (stored.id <= after_id || !filter.matches(stored)) return true;
-        rows.push_back(stored);
-        return rows.size() < max_rows;
-      };
-      bool room = true;
-      if (candidates) {
-        st.index_hits += candidates->size();
-        for (const auto offset : *candidates) {
-          if (!(room = consume(flows[offset]))) break;
-        }
-      } else {
-        for (std::uint32_t i = 0; i < pin.count && room; ++i)
-          room = consume(flows[i]);
-      }
-      if (!room) {
-        done = false;  // cut mid-scan: this or a later segment may hold more
-        break;
-      }
-    }
+  // A zero-row pull proves nothing about the tail; a chunk cut short by
+  // max_rows leaves this or a later segment possibly holding more.
+  bool done = max_rows > 0;
+  for (std::size_t i = 0; done && i < segs.size(); ++i) {
+    done = scan_segment(segs[i], q, st.index, after_id, st,
+                        [&](const StoredFlow& row) {
+                          rows.push_back(row);
+                          return rows.size() < max_rows;
+                        });
   }
-  st.cold_loaded = cold.loaded;
-  st.cold_pruned = cold.pruned;
-  st.cold_load_failures = cold.load_failures;
   if (stats != nullptr) *stats = st;
   if (exhausted != nullptr) *exhausted = done;
   return rows;
@@ -442,56 +347,23 @@ QueryCursor::QueryCursor(StoreSnapshot snapshot, FlowQuery query)
   stats_.segments_pinned = snapshot_.segments().size();
 }
 
-bool QueryCursor::open_next_segment() {
-  auto& segs = snapshot_.segments_mut();
-  while (next_segment_ < segs.size()) {
-    PinnedSegment& pin = segs[next_segment_++];
-    ColdStats cold;
-    const bool open =
-        open_segment_scan(pin, query_, stats_.index, candidates_, cold);
-    stats_.cold_loaded += cold.loaded;
-    stats_.cold_pruned += cold.pruned;
-    stats_.cold_load_failures += cold.load_failures;
-    if (!open) continue;
-    segment_ = pin.segment.get();
-    count_ = pin.count;
-    pos_ = 0;
-    segment_open_ = true;
-    ++stats_.segments_scanned;
-    if (candidates_) stats_.index_hits += candidates_->size();
-    return true;
-  }
-  return false;
-}
-
 bool QueryCursor::next() {
   if (produced_ >= query_.limit) return false;
-  for (;;) {
-    if (!segment_open_ && !open_next_segment()) return false;
-    const StoredFlow* flows = segment_->flows.data();
-    if (candidates_) {
-      while (pos_ < candidates_->size()) {
-        const auto& stored = flows[(*candidates_)[pos_++]];
-        ++stats_.rows_scanned;
-        if (query_.matches(stored)) {
-          current_ = &stored;
-          ++produced_;
-          return true;
-        }
-      }
-    } else {
-      while (pos_ < count_) {
-        const auto& stored = flows[pos_++];
-        ++stats_.rows_scanned;
-        if (query_.matches(stored)) {
-          current_ = &stored;
-          ++produced_;
-          return true;
-        }
-      }
-    }
-    segment_open_ = false;
+  auto& segs = snapshot_.segments_mut();
+  while (pos_ == rows_.size()) {
+    if (next_segment_ == segs.size()) return false;
+    // Moving on: release the previous segment's cold decode, so the
+    // cursor holds at most one (a hot pin stays, it costs no load).
+    if (next_segment_ > 0 && segs[next_segment_ - 1].cold != nullptr)
+      segs[next_segment_ - 1].segment.reset();
+    rows_.clear();
+    pos_ = 0;
+    collect_rows(segs[next_segment_++], query_, stats_.index,
+                 query_.limit - produced_, stats_, rows_);
   }
+  current_ = rows_[pos_++];
+  ++produced_;
+  return true;
 }
 
 std::string_view to_string(GroupBy by) noexcept {

@@ -206,9 +206,16 @@ void AutomationLoop::check_tick() {
   if (pending_.has_value()) return;
   harvest_into_reservoir();
   if (!drift_.triggered()) return;
+  // At threshold 0 every judged window arms the detector, so the cycle
+  // is the check cadence's, not a response to the signals.
+  const std::string cause =
+      config_.drift.trigger_threshold == 0.0
+          ? std::string("cadence trigger_threshold=0")
+          : "score=" + std::to_string(drift_.last_score_distance()) +
+                " rate_delta=" + std::to_string(drift_.last_rate_delta());
   // A failed cycle start (thin window, retries exhausted) leaves the
   // detector armed; the next tick tries again.
-  (void)run_cycle();
+  (void)run_cycle(cause);
 }
 
 Result<DeploymentPackage> AutomationLoop::build_package(
@@ -250,10 +257,10 @@ Result<DeploymentPackage> AutomationLoop::build_package(
 Status AutomationLoop::trigger_cycle() {
   if (!started_)
     return Error::make("loop_not_started", "call start() first");
-  return run_cycle();
+  return run_cycle("manual");
 }
 
-Status AutomationLoop::run_cycle() {
+Status AutomationLoop::run_cycle(const std::string& cause) {
   if (pending_.has_value())
     return Error::make("cycle_in_progress",
                        "a canary is already running");
@@ -270,10 +277,8 @@ Status AutomationLoop::run_cycle() {
   metrics.cycles_started.increment();
   const std::uint64_t cycle = next_cycle_++;
   const auto now = testbed_->network().events().now();
-  (void)registry_->record(
-      AuditKind::kDriftTrigger, handle_.version(), now,
-      "score=" + std::to_string(drift_.last_score_distance()) +
-          " rate_delta=" + std::to_string(drift_.last_rate_delta()));
+  (void)registry_->record(AuditKind::kDriftTrigger, handle_.version(), now,
+                          cause);
 
   auto abort_cycle = [&](std::uint32_t version, const Error& error) {
     cycles_.push_back(CycleRecord{cycle, version, CycleOutcome::kAborted,

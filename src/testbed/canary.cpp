@@ -80,15 +80,4 @@ Status CanaryDeployment::evaluate(const Gate& gate) const {
   return Status::success();
 }
 
-bool CanaryDeployment::ready_to_promote(
-    double min_precision, double min_block_rate,
-    std::uint64_t min_observed) const noexcept {
-  Gate gate;
-  gate.min_precision = min_precision;
-  gate.min_block_rate = min_block_rate;
-  gate.min_observed = min_observed;
-  gate.max_benign_loss = 1.0;  // legacy gate had no benign-loss ceiling
-  return evaluate(gate).ok();
-}
-
 }  // namespace campuslab::testbed

@@ -160,7 +160,9 @@ class AutomationLoop {
   void harvest_into_reservoir();
   void absorb_window(ml::Dataset window);
   Status bootstrap_initial();
-  Status run_cycle();
+  /// Start a cycle; `cause` is the detail of its kDriftTrigger audit
+  /// record (the drift signals, a cadence retrain, or "manual").
+  Status run_cycle(const std::string& cause);
   void finish_canary();
   void finish_cycle(CycleOutcome outcome, std::string error_code);
   /// retry_status around `fn` with the stage's fault site crossed per

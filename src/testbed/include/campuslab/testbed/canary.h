@@ -58,11 +58,7 @@ class CanaryDeployment {
 
   const CanaryStats& stats() const noexcept { return stats_; }
 
-  /// Operator gate: enough evidence and acceptable precision/recall?
-  bool ready_to_promote(double min_precision, double min_block_rate,
-                        std::uint64_t min_observed = 1000) const noexcept;
-
-  /// evaluate() against this gate returns ok when the canary has seen
+  /// The operator gate. evaluate() returns ok when the canary has seen
   /// enough traffic AND clears every quality floor; otherwise the
   /// Status carries a stable, machine-readable code the automation
   /// loop branches on:

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -90,6 +91,15 @@ bool audit_has(const ModelRegistry& reg, AuditKind kind) {
   for (const auto& event : reg.audit_trail())
     if (event.kind == kind) return true;
   return false;
+}
+
+/// Details of the audit records of `kind`, oldest first.
+std::vector<std::string> audit_details(const ModelRegistry& reg,
+                                       AuditKind kind) {
+  std::vector<std::string> details;
+  for (const auto& event : reg.audit_trail())
+    if (event.kind == kind) details.push_back(event.detail);
+  return details;
 }
 
 /// Fraction of the amplification attack delivered past the filter
@@ -194,7 +204,14 @@ TEST(AutomationLoop, DriftTriggersRetrainAndPromotesWithoutDroppingPackets) {
   EXPECT_GE(loop.registry().active_version(), 2u);
   EXPECT_EQ(loop.handle().version(), loop.registry().active_version());
   EXPECT_EQ(loop.health(), LoopHealth::kHealthy);
-  EXPECT_TRUE(audit_has(loop.registry(), AuditKind::kDriftTrigger));
+  // Each cycle start names its cause: the detector's signals.
+  const auto starts =
+      audit_details(loop.registry(), AuditKind::kDriftTrigger);
+  EXPECT_FALSE(starts.empty());
+  for (const auto& detail : starts) {
+    EXPECT_EQ(detail.rfind("score=", 0), 0u) << detail;
+    EXPECT_NE(detail.find(" rate_delta="), std::string::npos) << detail;
+  }
 
   // Zero acked-flow loss: retraining and hot swaps never backpressured
   // the capture path into dropping.
@@ -244,6 +261,12 @@ TEST(AutomationLoop, ArmedEveryWindowRecoversQuietDriftWhereStaticDecays) {
   EXPECT_GE(loop.registry().active_version(), 2u);
   EXPECT_EQ(loop.handle().version(), loop.registry().active_version());
   EXPECT_EQ(loop.health(), LoopHealth::kHealthy);
+  // At trigger 0 every cycle is a cadence retrain, and says so.
+  const auto starts =
+      audit_details(loop.registry(), AuditKind::kDriftTrigger);
+  EXPECT_FALSE(starts.empty());
+  for (const auto& detail : starts)
+    EXPECT_EQ(detail, "cadence trigger_threshold=0");
   // Before the drift starts at t=45 the canary sees no attack, so its
   // gate rolls every candidate back and v1 keeps serving.
   for (const auto& event : loop.registry().audit_trail()) {
@@ -266,6 +289,10 @@ TEST(AutomationLoop, CanaryGateFailureRollsBackAndKeepsIncumbent) {
 
   ASSERT_TRUE(loop.trigger_cycle().ok());
   ASSERT_TRUE(loop.cycle_in_progress());
+  const auto starts =
+      audit_details(loop.registry(), AuditKind::kDriftTrigger);
+  ASSERT_FALSE(starts.empty());
+  EXPECT_EQ(starts.back(), "manual");
   bed.run(Duration::seconds(6));  // let the canary window elapse
 
   ASSERT_FALSE(loop.cycle_in_progress());

@@ -47,6 +47,10 @@ FlowRecord random_flow(Rng& rng) {
       rng.chance(0.9) ? TrafficLabel::kBenign
                       : static_cast<TrafficLabel>(1 + rng.below(4));
   f.label_packets[static_cast<std::size_t>(label)] = f.packets;
+  // Coincident endpoints take the key rule's one-key branch, which
+  // Cluster::aggregate runs itself on a degraded scope's gathered rows.
+  if (rng.chance(0.05)) f.tuple.dst = f.tuple.src;
+  if (rng.chance(0.05)) f.tuple.src_port = f.tuple.dst_port;
   return f;
 }
 

@@ -237,7 +237,10 @@ TEST_F(PipelineFixture, CanaryScoresWithoutTouchingTraffic) {
   EXPECT_GT(stats.would_drop_precision(), 0.95);
   EXPECT_GT(stats.would_block_rate(), 0.90);
   EXPECT_LT(stats.would_benign_loss(), 0.02);
-  EXPECT_TRUE(canary.value()->ready_to_promote(0.9, 0.8));
+  testbed::CanaryDeployment::Gate gate;
+  gate.min_precision = 0.9;
+  gate.min_block_rate = 0.8;
+  EXPECT_TRUE(canary.value()->evaluate(gate).ok());
   // Mirror only: nothing filtered at the border.
   EXPECT_EQ(bed.network().accounting().filtered.total_frames(), 0u);
 }
@@ -246,7 +249,12 @@ TEST_F(PipelineFixture, CanaryRefusesWithoutEvidence) {
   build_package();
   auto canary = testbed::CanaryDeployment::create(*package_);
   ASSERT_TRUE(canary.ok());
-  EXPECT_FALSE(canary.value()->ready_to_promote(0.5, 0.5));
+  testbed::CanaryDeployment::Gate gate;
+  gate.min_precision = 0.5;
+  gate.min_block_rate = 0.5;
+  const Status verdict = canary.value()->evaluate(gate);
+  ASSERT_FALSE(verdict.ok());
+  EXPECT_EQ(verdict.error().code, "canary_underobserved");
 }
 
 // ---------------------------------------------------------- SafetyMonitor

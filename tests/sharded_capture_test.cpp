@@ -263,10 +263,11 @@ TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
     EXPECT_EQ(meter_stats.packets_seen, engine.stats().consumed);
     std::uint64_t stored_packets = 0;
     std::vector<std::pair<std::string, std::uint64_t>> signature;
-    store.for_each([&](const store::StoredFlow& f) {
-      stored_packets += f.flow.packets;
-      signature.emplace_back(f.flow.tuple.to_string(), f.flow.packets);
-    });
+    for (auto cur = store.open_cursor(store::FlowQuery{}); cur.next();) {
+      const auto& f = cur.current().flow;
+      stored_packets += f.packets;
+      signature.emplace_back(f.tuple.to_string(), f.packets);
+    }
     EXPECT_EQ(stored_packets,
               meter_stats.packets_seen - meter_stats.non_ip_packets);
     EXPECT_EQ(store.size(), ingested);

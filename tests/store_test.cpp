@@ -6,8 +6,10 @@
 #include <filesystem>
 #include <unistd.h>
 
+#include "campuslab/obs/registry.h"
 #include "campuslab/store/datastore.h"
 #include "campuslab/store/packet_archive.h"
+#include "campuslab/store/segment_file.h"
 #include "campuslab/util/rng.h"
 
 namespace campuslab::store {
@@ -123,7 +125,8 @@ TEST_F(StoreFixture, NoMatchesIsEmptyNotError) {
 
 TEST_F(StoreFixture, IdsAreStableAndMonotonic) {
   std::vector<std::uint64_t> ids;
-  store_.for_each([&](const StoredFlow& s) { ids.push_back(s.id); });
+  for (auto cur = store_.open_cursor(FlowQuery{}); cur.next();)
+    ids.push_back(cur.current().id);
   ASSERT_EQ(ids.size(), 4u);
   for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_GT(ids[i], ids[i - 1]);
 }
@@ -189,9 +192,9 @@ TEST(DataStore, CleansInvertedTimestamps) {
   DataStore store;
   auto f = make_flow(5, 3, kAlice, kServer, 1, 2);  // inverted
   store.ingest(f);
-  store.for_each([](const StoredFlow& s) {
-    EXPECT_GE(s.flow.last_ts, s.flow.first_ts);
-  });
+  auto cur = store.open_cursor(FlowQuery{});
+  ASSERT_TRUE(cur.next());
+  EXPECT_GE(cur.current().flow.last_ts, cur.current().flow.first_ts);
 }
 
 TEST(DataStore, LogEventsQueryable) {
@@ -391,6 +394,41 @@ TEST(QueryCursor, RespectsLimitAndSpansSegments) {
   EXPECT_GE(cur.stats().segments_scanned, 3u);
 }
 
+// A cursor holds one cold decode at a time: once it yields a row of
+// segment k+1 it has let go of segment k, so loading k's file again
+// decodes it afresh instead of joining a decode the cursor still holds.
+TEST(QueryCursor, HoldsAtMostOneColdDecode) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("campuslab_cursor_cold_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  DataStoreConfig cfg;
+  cfg.segment_flows = 10;
+  cfg.spill_directory = dir.string();  // budget 0: spill at seal
+  DataStore store(cfg);
+  for (int i = 0; i < 45; ++i)
+    store.ingest(make_flow(i, i + 0.5, kAlice, kServer,
+                           static_cast<std::uint16_t>(1000 + i), 443));
+  const StoreSnapshot snap = store.snapshot();
+  const auto& pins = snap.segments();
+  ASSERT_EQ(pins.size(), 5u);
+  for (std::size_t k = 0; k < 4; ++k) ASSERT_NE(pins[k].cold, nullptr);
+
+  const obs::Counter& cold_loads =
+      obs::Registry::global().counter("store.cold_loads");
+  auto cur = store.open_cursor(FlowQuery{});
+  for (std::size_t k = 0; k < 4; ++k) {
+    const std::uint64_t last_of_k = pins[k].cold->zone().id_hi;
+    do {
+      ASSERT_TRUE(cur.next());
+    } while (cur.current().id <= last_of_k);
+    const std::uint64_t before = cold_loads.value();
+    ASSERT_TRUE(pins[k].cold->load().ok());
+    EXPECT_EQ(cold_loads.value(), before + 1)
+        << "the cursor still holds segment " << k << "'s decode";
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------------- aggregation
 
 TEST_F(StoreFixture, AggregateByHostCreditsBothEndpoints) {
@@ -512,10 +550,19 @@ TEST(DataStoreProperty, IndexedQueryEqualsScan) {
     const auto indexed = store.query(q);
     std::vector<std::uint64_t> got;
     for (const auto& s : indexed) got.push_back(s.id);
+    // The reference walks the pins itself, apart from the engine.
     std::vector<std::uint64_t> want;
-    store.for_each([&](const StoredFlow& s) {
-      if (q.matches(s)) want.push_back(s.id);
-    });
+    const StoreSnapshot snap = store.snapshot();
+    for (const PinnedSegment& pin : snap.segments()) {
+      std::shared_ptr<const Segment> seg = pin.segment;
+      if (seg == nullptr) {
+        auto loaded = pin.cold->load();
+        ASSERT_TRUE(loaded.ok()) << loaded.error().message;
+        seg = std::move(loaded).value();
+      }
+      for (std::uint32_t i = 0; i < pin.count; ++i)
+        if (q.matches(seg->flows[i])) want.push_back(seg->flows[i].id);
+    }
     EXPECT_EQ(got, want) << "trial " << trial;
     EXPECT_EQ(indexed.stats().cold_load_failures, 0u);
     cold_loaded += indexed.stats().cold_loaded;
