@@ -54,14 +54,8 @@ int main() {
   teacher.fit(train);
 
   const auto budget = dataplane::ResourceBudget::tofino_like();
-  std::vector<bool> mask(features::kPacketFeatureCount, false);
-  for (std::size_t f = 0; f < mask.size(); ++f)
-    mask[f] = features::is_register_feature(
-        static_cast<features::PacketFeature>(f));
-  std::vector<std::pair<double, double>> grid(
-      features::kPacketFeatureCount,
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
-  const auto grid_q = dataplane::Quantizer::from_ranges(std::move(grid));
+  const auto mask = features::register_mask_for(train.feature_names());
+  const auto grid_q = dataplane::Quantizer::identity(train.n_features());
 
   std::puts("=== T-P4: switch resources vs student depth "
             "(budget: 12 stages, 24576 TCAM entries, 12 MiB SRAM) ===");

@@ -88,15 +88,9 @@ int main() {
   const auto student =
       xai::ModelExtractor(xc).extract(forest, train).student;
 
-  std::vector<bool> mask(features::kPacketFeatureCount, false);
-  for (std::size_t f = 0; f < mask.size(); ++f)
-    mask[f] = features::is_register_feature(
-        static_cast<features::PacketFeature>(f));
-  std::vector<std::pair<double, double>> grid(
-      features::kPacketFeatureCount,
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
   const auto program = dataplane::TreeProgram::compile(
-      student, dataplane::Quantizer::from_ranges(std::move(grid)), mask);
+      student, dataplane::Quantizer::identity(train.n_features()),
+      features::register_mask_for(train.feature_names()));
   if (!program.ok()) return 1;
 
   // Quantized integer rows for the dataplane tier.

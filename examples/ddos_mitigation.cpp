@@ -86,10 +86,8 @@ int main() {
 
   // §5: the handoff artifact for a large-network deployment — exactly
   // which telemetry the model needs, nothing more.
-  std::vector<bool> reg_mask(features::kPacketFeatureCount, false);
-  for (std::size_t f = 0; f < reg_mask.size(); ++f)
-    reg_mask[f] = features::is_register_feature(
-        static_cast<features::PacketFeature>(f));
+  const auto reg_mask =
+      features::register_mask_for(package.student.feature_names());
   std::puts("");
   std::fputs(
       xai::derive_collection_spec(package.student, reg_mask)

@@ -12,8 +12,8 @@
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
-#include "campuslab/features/flow_merge.h"
 #include "campuslab/privacy/gate.h"
+#include "campuslab/store/shard.h"
 #include "campuslab/store/sharded_ingest.h"
 #include "campuslab/store/timeline.h"
 #include "campuslab/testbed/testbed.h"
@@ -139,23 +139,18 @@ int main() {
   // --- 6. The same capture, sharded across worker threads. -----------
   // At 10-20 Gbps one consumer thread is the bottleneck; the sharded
   // engine hash-spreads the tap across N rings, each with its own
-  // worker, flow meter and store ingester — losslessness stays
+  // worker and flow meter (the ingester's, which merges every shard's
+  // flows into the store in one canonical order) — losslessness stays
   // measured per shard.
   std::puts("\nSharded capture (4 workers) over a fresh campus run:");
   constexpr std::size_t kShards = 4;
   capture::ShardedCaptureConfig shard_cfg;
   shard_cfg.shards = kShards;
   capture::ShardedCaptureEngine sharded(shard_cfg);
-  features::ShardedFlowCollector shard_flows(kShards);
   store::ShardedFlowIngester ingester(kShards);
-  for (std::size_t s = 0; s < kShards; ++s)
-    shard_flows.meter(s).set_sink(
-        [&ingester, s](const capture::FlowRecord& r) {
-          ingester.ingest(s, r);
-        });
   sharded.add_sink_factory([&](std::size_t s) {
-    return [&shard_flows, s](const capture::DecodedPacket& t) {
-      shard_flows.meter(s).offer(t);  // the view decoded at the tap
+    return [&ingester, s](const capture::DecodedPacket& t) {
+      ingester.meter(s).offer(t);  // the view decoded at the tap
     };
   });
 
@@ -168,10 +163,10 @@ int main() {
   sharded.start();
   replay.run_for(Duration::minutes(3));
   sharded.stop();  // drains every ring, joins the workers
-  for (std::size_t s = 0; s < kShards; ++s) shard_flows.meter(s).flush();
+  ingester.flush();
 
-  store::DataStore sharded_store;
-  const auto merged_flows = ingester.merge_into(sharded_store);
+  store::LocalShard sharded_store;
+  const auto merged_flows = ingester.merge_into(sharded_store).value();
   const auto total = sharded.stats();
   std::printf("  merged:  offered=%llu consumed=%llu dropped=%llu -> "
               "%llu flows in store\n",

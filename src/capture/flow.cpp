@@ -16,7 +16,7 @@ namespace {
 
 // Shared across every FlowMeter in the process (per-shard meters
 // aggregate; per-shard table sizes are exported separately by
-// features::ShardedFlowCollector as labelled gauges).
+// store::ShardedFlowIngester as labelled gauges).
 struct FlowMetrics {
   obs::Counter& created =
       obs::Registry::global().counter("flow.flows_created");

@@ -16,28 +16,6 @@ std::int64_t now_us() {
       .count();
 }
 
-/// Register-feature mask for the packet feature space (used when the
-/// features are the per-packet ones; other feature spaces get no mask).
-std::vector<bool> register_mask_for(
-    const std::vector<std::string>& feature_names) {
-  std::vector<bool> mask(feature_names.size(), false);
-  if (feature_names == features::packet_feature_names()) {
-    for (std::size_t f = 0; f < mask.size(); ++f)
-      mask[f] = features::is_register_feature(
-          static_cast<features::PacketFeature>(f));
-  }
-  return mask;
-}
-
-/// The student was trained on quantized values, so programs run with
-/// the identity mapping over the quantized grid.
-dataplane::Quantizer grid_quantizer_for(std::size_t n_features) {
-  return dataplane::Quantizer::from_ranges(
-      std::vector<std::pair<double, double>>(
-          n_features,
-          {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0}));
-}
-
 }  // namespace
 
 Result<TrainArtifacts> DevelopmentLoop::train(
@@ -101,10 +79,13 @@ Result<DeploymentPackage> DevelopmentLoop::compile(
   package.timings.train_us = trained.train_us;
   package.timings.extract_us = extracted.extract_us;
 
-  // Step (iii): compile for the target, honoring the budget.
-  const auto mask = register_mask_for(trained.train.feature_names());
+  // Step (iii): compile for the target, honoring the budget. The
+  // student was trained on quantized values, so programs run with the
+  // identity mapping over the quantized grid.
+  const auto mask =
+      features::register_mask_for(trained.train.feature_names());
   const auto grid_quantizer =
-      grid_quantizer_for(trained.train.n_features());
+      dataplane::Quantizer::identity(trained.train.n_features());
 
   const auto policy = package.policy();
   auto try_tree = [&]() -> Result<dataplane::ResourceReport> {
@@ -218,9 +199,9 @@ double DeploymentPackage::balanced_accuracy_on(
 
 Result<std::unique_ptr<dataplane::SoftwareSwitch>>
 DeploymentPackage::instantiate() const {
-  const auto mask = register_mask_for(student.feature_names());
+  const auto mask = features::register_mask_for(student.feature_names());
   const auto grid_quantizer =
-      grid_quantizer_for(student.feature_names().size());
+      dataplane::Quantizer::identity(student.feature_names().size());
 
   std::unique_ptr<dataplane::CompiledClassifier> program;
   if (strategy == "rule_tcam") {

@@ -85,9 +85,6 @@ class FastLoop {
   const MitigationStats& stats() const noexcept { return stats_; }
   /// Wall-clock nanoseconds per inspected packet.
   const RunningStats& latency_ns() const noexcept { return latency_ns_; }
-  const dataplane::SoftwareSwitch& deployed_switch() const noexcept {
-    return *switch_;
-  }
 
  private:
   FastLoop(const AutomationTask& task,

@@ -25,6 +25,9 @@ class Quantizer {
   /// Explicit ranges (lo == hi marks a constant feature -> q = 0).
   static Quantizer from_ranges(
       std::vector<std::pair<double, double>> ranges);
+  /// The identity mapping over the quantized grid (q(v) = v for v in
+  /// 0..kMaxQ): how a model trained on already-quantized values runs.
+  static Quantizer identity(std::size_t n_features);
   /// Exact reconstruction from persisted per-feature (lo, step) pairs —
   /// the model-registry round trip must be bit-identical, which a
   /// lo/hi re-derivation of step cannot guarantee in floating point.

@@ -29,6 +29,11 @@ Quantizer Quantizer::from_ranges(
   return q;
 }
 
+Quantizer Quantizer::identity(std::size_t n_features) {
+  return from_ranges(std::vector<std::pair<double, double>>(
+      n_features, {0.0, static_cast<double>(kMaxQ) + 1.0}));
+}
+
 Quantizer Quantizer::from_levels(std::vector<double> lo,
                                  std::vector<double> step) {
   Quantizer q;

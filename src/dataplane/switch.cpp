@@ -9,7 +9,6 @@ namespace {
 struct SwitchMetrics {
   obs::Counter& processed =
       obs::Registry::global().counter("switch.processed");
-  obs::Counter& dropped = obs::Registry::global().counter("switch.dropped");
   obs::Histogram& apply_ns = obs::stage_histogram("switch_apply");
 
   static SwitchMetrics& get() {
@@ -30,32 +29,10 @@ Verdict SoftwareSwitch::process(const packet::Packet& pkt,
                                 sim::Direction dir) {
   auto& metrics = SwitchMetrics::get();
   obs::StageTimer stage_timer(metrics.apply_ns);
-  ++stats_.processed;
   metrics.processed.increment();
   const auto x = extractor_.extract(pkt, view, dir);
-  if (x.empty()) {
-    ++stats_.non_ip_passed;
-    return Verdict{0, 0.0};
-  }
-  const auto qx = quantizer_.quantize_row(x);
-  const auto verdict = program_->classify(qx);
-  if (static_cast<std::size_t>(verdict.cls) < stats_.verdicts.size())
-    ++stats_.verdicts[static_cast<std::size_t>(verdict.cls)];
-  return verdict;
-}
-
-bool SoftwareSwitch::filter(const packet::Packet& pkt,
-                            const packet::PacketView& view,
-                            sim::Direction dir,
-                            const FilterPolicy& policy) {
-  const auto verdict = process(pkt, view, dir);
-  const bool drop = verdict.cls == policy.drop_class &&
-                    verdict.confidence >= policy.min_confidence;
-  if (drop) {
-    ++stats_.dropped;
-    SwitchMetrics::get().dropped.increment();
-  }
-  return drop;
+  if (x.empty()) return Verdict{0, 0.0};
+  return program_->classify(quantizer_.quantize_row(x));
 }
 
 }  // namespace campuslab::dataplane

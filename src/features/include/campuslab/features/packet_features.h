@@ -47,6 +47,12 @@ const std::vector<std::string>& packet_feature_names();
 /// the dataplane compiler uses this to budget stateful stages.
 bool is_register_feature(PacketFeature f) noexcept;
 
+/// is_register_feature over a model's feature space: one entry per
+/// name, set only when the names are packet_feature_names() (other
+/// feature spaces get an all-false mask).
+std::vector<bool> register_mask_for(
+    const std::vector<std::string>& feature_names);
+
 struct PacketFeatureConfig {
   Duration rate_tau = Duration::seconds(1);
   Duration sketch_window = Duration::seconds(5);

@@ -25,6 +25,16 @@ bool is_register_feature(PacketFeature f) noexcept {
   }
 }
 
+std::vector<bool> register_mask_for(
+    const std::vector<std::string>& feature_names) {
+  std::vector<bool> mask(feature_names.size(), false);
+  if (feature_names == packet_feature_names()) {
+    for (std::size_t f = 0; f < mask.size(); ++f)
+      mask[f] = is_register_feature(static_cast<PacketFeature>(f));
+  }
+  return mask;
+}
+
 StatefulFeatureExtractor::StatefulFeatureExtractor(
     PacketFeatureConfig config)
     : config_(config) {}

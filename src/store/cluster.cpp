@@ -478,9 +478,18 @@ ClusterCursor Cluster::open_cursor(FlowQuery q) const {
   return ClusterCursor(this, std::move(q));
 }
 
+void Cluster::gather_logs(const Scope& scope, LogQuery filter,
+                          std::vector<LogEvent>& out) const {
+  filter.limit = std::numeric_limits<std::size_t>::max();
+  for (const auto& [via, shard] : scope.sources) {
+    auto reply =
+        send(via, [&, shard = shard] { return shard->query_logs(filter); });
+    if (!reply.ok()) continue;
+    for (const auto& ev : reply.value()) out.push_back(ev);
+  }
+}
+
 LogResult Cluster::query_logs(const LogQuery& q) const {
-  LogQuery full = q;
-  full.limit = std::numeric_limits<std::size_t>::max();
   std::vector<LogEvent> events;
   // Copies of one event are field-identical, so when the gather can
   // touch overlapping stores — a lagged owner reading primary AND
@@ -491,12 +500,7 @@ LogResult Cluster::query_logs(const LogQuery& q) const {
   bool overlap = replication_ > 2;
   for (const Scope& scope : scopes(nullptr)) {
     if (scope.sources.size() > 1 && !scope.replica) overlap = true;
-    for (const auto& [via, shard] : scope.sources) {
-      auto reply =
-          send(via, [&, shard = shard] { return shard->query_logs(full); });
-      if (!reply.ok()) continue;
-      for (const auto& ev : reply.value()) events.push_back(ev);
-    }
+    gather_logs(scope, q, events);
   }
   sort_logs(events, overlap);
   if (events.size() > q.limit) events.resize(q.limit);
@@ -562,14 +566,7 @@ CatalogInfo Cluster::catalog() const {
     }
     // Log copies are field-identical across the scope; count distinct.
     std::vector<LogEvent> events;
-    LogQuery all;
-    all.limit = std::numeric_limits<std::size_t>::max();
-    for (const auto& [via, shard] : scope.sources) {
-      auto reply =
-          send(via, [&, shard = shard] { return shard->query_logs(all); });
-      if (!reply.ok()) continue;
-      for (const auto& ev : reply.value()) events.push_back(ev);
-    }
+    gather_logs(scope, LogQuery{}, events);
     sort_logs(events, true);
     total.total_log_events += events.size();
   }

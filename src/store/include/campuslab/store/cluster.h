@@ -306,6 +306,11 @@ class Cluster {
   std::vector<StoredFlow> gather_scope(NodeId owner,
                                        const ShardQueryPlan& plan,
                                        ClusterQueryStats& stats) const;
+  /// Append every event matching `filter` (its limit ignored) from each
+  /// of the scope's reachable sources, unsorted; sort_logs orders and
+  /// dedups the gather.
+  void gather_logs(const Scope& scope, LogQuery filter,
+                   std::vector<LogEvent>& out) const;
 
   ClusterConfig config_;
   std::size_t replication_;

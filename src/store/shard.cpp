@@ -13,8 +13,8 @@ LocalShard::~LocalShard() = default;
 Result<ShardIngestAck> LocalShard::ingest(const ShardIngestBatch& batch) {
   ShardIngestAck ack;
   for (const auto& row : batch.rows) {
-    // Same permanently-compiled site the merge path trips on a direct
-    // DataStore; the prefix-ack contract hands the tail back on failure.
+    // The store.ingest fault site, crossed once per row tried; the
+    // prefix-ack contract hands the tail back on failure.
     const Status st = resilience::fault_point_status("store.ingest");
     if (!st.ok()) break;
     // Ascending-id replay dedup: an explicit id we already applied is a

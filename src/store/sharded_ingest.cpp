@@ -1,9 +1,9 @@
 #include "campuslab/store/sharded_ingest.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
-#include "campuslab/capture/flow.h"
-#include "campuslab/resilience/fault.h"
 #include "campuslab/store/cluster.h"
 #include "campuslab/store/shard.h"
 
@@ -12,8 +12,19 @@ namespace campuslab::store {
 ShardedFlowIngester::ShardedFlowIngester(std::size_t shards) {
   if (shards == 0) shards = 1;
   buffers_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
+  for (std::size_t s = 0; s < shards; ++s) {
     buffers_.push_back(std::make_unique<Buffer>());
+    capture::FlowMeter& meter = buffers_.back()->meter;
+    meter.set_sink(
+        [this, s](const capture::FlowRecord& flow) { ingest(s, flow); });
+    // approx_active_flows() is the any-thread mirror, so sampling
+    // mid-capture is race-free.
+    obs_table_sizes_.push_back(obs::Registry::global().register_callback(
+        "flow.table_size", "shard=" + std::to_string(s),
+        [meter = &meter] {
+          return static_cast<double>(meter->approx_active_flows());
+        }));
+  }
   obs_pending_ = obs::Registry::global().register_callback(
       "store.ingest_pending", "",
       [this] { return static_cast<double>(pending()); });
@@ -21,14 +32,32 @@ ShardedFlowIngester::ShardedFlowIngester(std::size_t shards) {
 
 void ShardedFlowIngester::ingest(std::size_t shard,
                                  const capture::FlowRecord& flow) {
-  {
-    std::lock_guard<std::mutex> lock(buffers_[shard]->mu);
-    buffers_[shard]->flows.push_back(flow);
-  }
+  // Counted under the lock, so take() never subtracts a flow before it
+  // was added.
+  std::lock_guard<std::mutex> lock(buffers_[shard]->mu);
+  buffers_[shard]->flows.push_back(flow);
   pending_.fetch_add(1, std::memory_order_release);
 }
 
-std::vector<capture::FlowRecord> ShardedFlowIngester::take_sorted() {
+void ShardedFlowIngester::flush() {
+  for (auto& buffer : buffers_) buffer->meter.flush();
+}
+
+capture::FlowMeterStats ShardedFlowIngester::meter_stats() const noexcept {
+  capture::FlowMeterStats sum;
+  for (const auto& buffer : buffers_) {
+    const auto& s = buffer->meter.stats();
+    sum.packets_seen += s.packets_seen;
+    sum.non_ip_packets += s.non_ip_packets;
+    sum.flows_created += s.flows_created;
+    sum.flows_evicted_idle += s.flows_evicted_idle;
+    sum.flows_evicted_active += s.flows_evicted_active;
+    sum.flows_evicted_capacity += s.flows_evicted_capacity;
+  }
+  return sum;
+}
+
+std::vector<capture::FlowRecord> ShardedFlowIngester::take() {
   std::vector<capture::FlowRecord> merged;
   for (auto& buffer : buffers_) {
     std::vector<capture::FlowRecord> taken;
@@ -39,93 +68,63 @@ std::vector<capture::FlowRecord> ShardedFlowIngester::take_sorted() {
     merged.insert(merged.end(), std::make_move_iterator(taken.begin()),
                   std::make_move_iterator(taken.end()));
   }
+  pending_.fetch_sub(merged.size(), std::memory_order_release);
+  // stable_sort: records that compare equal keep shard-index order, so
+  // the export is a pure function of (per-shard streams, shard order).
   std::stable_sort(merged.begin(), merged.end(),
                    capture::flow_export_before);
   return merged;
 }
 
-void ShardedFlowIngester::rebuffer(std::vector<capture::FlowRecord>& merged,
-                                   std::size_t from) {
-  // The flows stay pending, nothing is lost, and the next merge's
-  // canonical sort restores order. Parked in buffer 0 — the buffer a
-  // flow waits in carries no meaning.
-  std::lock_guard<std::mutex> lock(buffers_[0]->mu);
-  buffers_[0]->flows.insert(
-      buffers_[0]->flows.end(),
-      std::make_move_iterator(merged.begin() +
-                              static_cast<std::ptrdiff_t>(from)),
-      std::make_move_iterator(merged.end()));
-}
-
-std::uint64_t ShardedFlowIngester::merge_into(DataStore& store) {
-  std::vector<capture::FlowRecord> merged = take_sorted();
-  for (const auto& flow : merged) store.ingest(flow);
-  pending_.fetch_sub(merged.size(), std::memory_order_release);
-  merged_total_ += merged.size();
-  obs::Registry::global().counter("store.merged_flows").add(merged.size());
-  return merged.size();
-}
-
 Result<std::uint64_t> ShardedFlowIngester::merge_into(
-    DataStore& store, const resilience::RetryPolicy& policy,
+    StoreShard& shard, const resilience::RetryPolicy& policy,
     const resilience::Sleeper& sleeper) {
-  std::vector<capture::FlowRecord> merged = take_sorted();
-  std::size_t ingested = 0;
-  Status terminal = Status::success();
-  for (const auto& flow : merged) {
-    Status status = resilience::retry_status(
+  ShardIngestBatch tail;  // id 0 on every row: the shard assigns ids
+  for (auto& flow : take()) tail.rows.push_back(StoredFlow{0, std::move(flow)});
+  const std::size_t total = tail.rows.size();
+  // A call that applied rows and then stopped already spent the next
+  // row's first attempt; its failure opens that row's fresh budget.
+  Status stopped = Status::success();
+  Status status = Status::success();
+  while (status.ok() && !tail.rows.empty()) {
+    status = resilience::retry_status(
         policy, retry_rng_, "store.ingest",
-        [&store, &flow] {
-          Status injected =
-              resilience::fault_point_status("store.ingest");
-          if (!injected.ok()) return injected;
-          store.ingest(flow);
+        [&]() -> Status {
+          if (!stopped.ok()) return std::exchange(stopped, Status::success());
+          const auto ack = shard.ingest(tail);
+          if (!ack.ok()) return ack.error();
+          const std::size_t applied =
+              std::min<std::size_t>(ack.value().applied, tail.rows.size());
+          tail.rows.erase(tail.rows.begin(),
+                          tail.rows.begin() +
+                              static_cast<std::ptrdiff_t>(applied));
+          if (tail.rows.empty()) return Status::success();
+          Status partial = Error::make(
+              "ingest_partial",
+              "shard applied " + std::to_string(applied) + " of " +
+                  std::to_string(applied + tail.rows.size()) + " rows");
+          if (applied == 0) return partial;
+          stopped = std::move(partial);
           return Status::success();
         },
         sleeper);
-    if (!status.ok()) {
-      terminal = std::move(status);
-      break;
-    }
-    ++ingested;
   }
-  pending_.fetch_sub(ingested, std::memory_order_release);
-  merged_total_ += ingested;
-  obs::Registry::global().counter("store.merged_flows").add(ingested);
-  if (!terminal.ok()) {
-    rebuffer(merged, ingested);
-    return terminal.error();
-  }
-  return static_cast<std::uint64_t>(ingested);
-}
-
-Result<std::uint64_t> ShardedFlowIngester::merge_into(StoreShard& shard) {
-  std::vector<capture::FlowRecord> merged = take_sorted();
-  ShardIngestBatch batch;
-  batch.rows.reserve(merged.size());
-  for (const auto& flow : merged)
-    batch.rows.push_back(StoredFlow{0, flow});  // id 0: shard assigns
-  const auto ack = shard.ingest(batch);
-  const std::uint64_t applied =
-      ack.ok() ? std::min<std::uint64_t>(ack.value().applied, merged.size())
-               : 0;
-  pending_.fetch_sub(applied, std::memory_order_release);
+  const std::uint64_t applied = total - tail.rows.size();
   merged_total_ += applied;
   obs::Registry::global().counter("store.merged_flows").add(applied);
-  if (applied < merged.size()) {
-    rebuffer(merged, applied);
-    if (!ack.ok()) return ack.error();
-    return Error::make("ingest_partial",
-                       "shard applied " + std::to_string(applied) + " of " +
-                           std::to_string(merged.size()) + " rows");
-  }
-  return applied;
+  if (status.ok()) return applied;
+  // The tail stays pending, nothing is lost, and the next merge's
+  // canonical sort restores order. Parked in buffer 0 — the buffer a
+  // flow waits in carries no meaning.
+  std::lock_guard<std::mutex> lock(buffers_[0]->mu);
+  for (auto& row : tail.rows)
+    buffers_[0]->flows.push_back(std::move(row.flow));
+  pending_.fetch_add(tail.rows.size(), std::memory_order_release);
+  return status.error();
 }
 
 ClusterIngestReport ShardedFlowIngester::merge_into(Cluster& cluster) {
-  std::vector<capture::FlowRecord> merged = take_sorted();
-  const ClusterIngestReport report = cluster.ingest(merged);
-  pending_.fetch_sub(merged.size(), std::memory_order_release);
+  const ClusterIngestReport report = cluster.ingest(take());
   merged_total_ += report.acked;
   obs::Registry::global().counter("store.merged_flows").add(report.acked);
   return report;

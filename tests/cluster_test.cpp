@@ -411,8 +411,9 @@ TEST(ClusterDeterminism, MergeIntoClusterMatchesMergeIntoStore) {
     for_single.ingest(shard, f);
     for_cluster.ingest(shard, f);
   }
-  DataStore single;
-  ASSERT_EQ(for_single.merge_into(single), 3000u);
+  LocalShard single_shard;
+  DataStore& single = single_shard.store();
+  ASSERT_EQ(for_single.merge_into(single_shard).value(), 3000u);
 
   Cluster cluster(test_config(4, 50'000));
   const auto report = for_cluster.merge_into(cluster);
@@ -422,33 +423,6 @@ TEST(ClusterDeterminism, MergeIntoClusterMatchesMergeIntoStore) {
 
   expect_rows_equal(single.query(FlowQuery{}), cluster.query(FlowQuery{}),
                     "merged full scan");
-}
-
-TEST(ClusterDeterminism, MergeIntoShardMatchesMergeIntoStore) {
-  Rng rng(36);
-  ShardedFlowIngester for_single(2);
-  ShardedFlowIngester for_shard(2);
-  for (int i = 0; i < 500; ++i) {
-    const auto f = random_flow(rng);
-    const std::size_t shard = rng.below(2);
-    for_single.ingest(shard, f);
-    for_shard.ingest(shard, f);
-  }
-  DataStore single;
-  ASSERT_EQ(for_single.merge_into(single), 500u);
-  LocalShard shard;
-  const auto merged = for_shard.merge_into(
-      static_cast<StoreShard&>(shard));
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value(), 500u);
-
-  const auto single_rows = single.query(FlowQuery{});
-  const auto shard_rows = shard.store().query(FlowQuery{});
-  ASSERT_EQ(single_rows.size(), shard_rows.size());
-  for (std::size_t i = 0; i < single_rows.size(); ++i) {
-    EXPECT_EQ(single_rows[i].id, shard_rows[i].id);
-    EXPECT_TRUE(same_flow(single_rows[i].flow, shard_rows[i].flow));
-  }
 }
 
 // ------------------------------------------------------ logs & health

@@ -182,11 +182,7 @@ class CompilerFixture : public ::testing::Test {
   /// The dataset is quantized with the fitted quantizer; the programs
   /// then run with an identity quantizer over [0, kMaxQ].
   Quantizer quantizer_identity() const { return quantizer_; }
-  Quantizer identity_over_q() const {
-    std::vector<std::pair<double, double>> ranges(
-        4, {0.0, static_cast<double>(Quantizer::kMaxQ) + 1.0});
-    return Quantizer::from_ranges(std::move(ranges));
-  }
+  Quantizer identity_over_q() const { return Quantizer::identity(4); }
 
   Quantizer quantizer_ = Quantizer::from_ranges({});
   std::unique_ptr<ml::Dataset> data_;

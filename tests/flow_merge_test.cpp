@@ -1,20 +1,19 @@
-// merge_flow_exports edge cases: empty inputs, single-shard identity,
-// duplicate 5-tuples across shards, and the flow_export_before
-// tie-break chain the deterministic merge rests on.
+// ShardedFlowIngester::take() edge cases: empty inputs, single-shard
+// identity, duplicate 5-tuples across shards, and the
+// flow_export_before tie-break chain the deterministic merge rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "campuslab/capture/flow.h"
-#include "campuslab/features/flow_merge.h"
+#include "campuslab/store/sharded_ingest.h"
 
 namespace campuslab {
 namespace {
 
 using capture::FlowRecord;
 using capture::flow_export_before;
-using features::merge_flow_exports;
 using packet::FiveTuple;
 using packet::Ipv4Address;
 
@@ -31,6 +30,16 @@ FlowRecord record(std::int64_t first_ns, std::int64_t last_ns,
   r.last_ts = Timestamp::from_nanos(last_ns);
   r.packets = packets;
   return r;
+}
+
+/// Feed shard s's records to ingest(s, ·) in order, then take() the
+/// canonical export.
+std::vector<FlowRecord> ingest_and_take(
+    const std::vector<std::vector<FlowRecord>>& per_shard) {
+  store::ShardedFlowIngester ingester(per_shard.size());
+  for (std::size_t s = 0; s < per_shard.size(); ++s)
+    for (const auto& r : per_shard[s]) ingester.ingest(s, r);
+  return ingester.take();
 }
 
 bool sorted_by_export_order(const std::vector<FlowRecord>& v) {
@@ -71,19 +80,19 @@ TEST(FlowExportBefore, IsIrreflexiveOnFullTies) {
 }
 
 TEST(MergeFlowExports, NoShardsYieldsEmpty) {
-  EXPECT_TRUE(merge_flow_exports({}).empty());
+  EXPECT_TRUE(ingest_and_take({}).empty());
 }
 
 TEST(MergeFlowExports, AllEmptyShardsYieldEmpty) {
   std::vector<std::vector<FlowRecord>> per_shard(4);
-  EXPECT_TRUE(merge_flow_exports(std::move(per_shard)).empty());
+  EXPECT_TRUE(ingest_and_take(per_shard).empty());
 }
 
 TEST(MergeFlowExports, EmptyShardsAmongPopulatedOnesAreHarmless) {
   std::vector<std::vector<FlowRecord>> per_shard(3);
   per_shard[1].push_back(record(200, 300, tuple(1, 1000)));
   per_shard[1].push_back(record(100, 150, tuple(2, 2000)));
-  const auto merged = merge_flow_exports(std::move(per_shard));
+  const auto merged = ingest_and_take(per_shard);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_TRUE(sorted_by_export_order(merged));
   EXPECT_EQ(merged[0].first_ts, Timestamp::from_nanos(100));
@@ -96,7 +105,7 @@ TEST(MergeFlowExports, SingleShardIsSortedNotJustCopied) {
   per_shard[0].push_back(record(300, 400, tuple(3, 3000), 30));
   per_shard[0].push_back(record(100, 200, tuple(1, 1000), 10));
   per_shard[0].push_back(record(200, 250, tuple(2, 2000), 20));
-  const auto merged = merge_flow_exports(std::move(per_shard));
+  const auto merged = ingest_and_take(per_shard);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_TRUE(sorted_by_export_order(merged));
   EXPECT_EQ(merged[0].packets, 10u);
@@ -109,7 +118,7 @@ TEST(MergeFlowExports, AlreadySortedSingleShardIsIdentity) {
   per_shard[0].push_back(record(100, 200, tuple(1, 1000), 10));
   per_shard[0].push_back(record(150, 260, tuple(2, 2000), 20));
   per_shard[0].push_back(record(300, 400, tuple(3, 3000), 30));
-  const auto merged = merge_flow_exports(std::move(per_shard));
+  const auto merged = ingest_and_take(per_shard);
   ASSERT_EQ(merged.size(), 3u);
   for (std::size_t i = 0; i < merged.size(); ++i)
     EXPECT_EQ(merged[i].packets, (i + 1) * 10) << i;
@@ -121,7 +130,7 @@ TEST(MergeFlowExports, InterleavesAcrossShardsDeterministically) {
   per_shard[0].push_back(record(300, 400, tuple(1, 1001), 3));
   per_shard[1].push_back(record(200, 300, tuple(2, 2000), 2));
   per_shard[1].push_back(record(400, 500, tuple(2, 2001), 4));
-  const auto merged = merge_flow_exports(std::move(per_shard));
+  const auto merged = ingest_and_take(per_shard);
   ASSERT_EQ(merged.size(), 4u);
   for (std::size_t i = 0; i < merged.size(); ++i)
     EXPECT_EQ(merged[i].packets, i + 1) << i;
@@ -135,7 +144,7 @@ TEST(MergeFlowExports, DuplicateTuplesAcrossShardsAreBothKept) {
   std::vector<std::vector<FlowRecord>> per_shard(2);
   per_shard[0].push_back(record(500, 600, t, 5));
   per_shard[1].push_back(record(100, 200, t, 1));
-  const auto merged = merge_flow_exports(std::move(per_shard));
+  const auto merged = ingest_and_take(per_shard);
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].packets, 1u);
   EXPECT_EQ(merged[1].packets, 5u);
@@ -150,7 +159,7 @@ TEST(MergeFlowExports, FullTiesKeepShardIndexOrder) {
   per_shard[0].push_back(record(100, 200, t, 10));
   per_shard[1].push_back(record(100, 200, t, 11));
   per_shard[2].push_back(record(100, 200, t, 12));
-  const auto merged = merge_flow_exports(std::move(per_shard));
+  const auto merged = ingest_and_take(per_shard);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].packets, 10u);
   EXPECT_EQ(merged[1].packets, 11u);

@@ -27,7 +27,6 @@
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/control/development_loop.h"
 #include "campuslab/control/fast_loop.h"
-#include "campuslab/features/flow_merge.h"
 #include "campuslab/features/packet_dataset.h"
 #include "campuslab/features/packet_features.h"
 #include "campuslab/packet/builder.h"
@@ -261,10 +260,8 @@ control::DeploymentPackage make_frame_size_package(double split_bytes) {
   package.student = ml::DecisionTree(cfg);
   package.student.fit(data);
   package.task = control::AutomationTask::dns_amplification_drop();
-  std::vector<std::pair<double, double>> ranges(
-      features::kPacketFeatureCount,
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
-  package.quantizer = dataplane::Quantizer::from_ranges(std::move(ranges));
+  package.quantizer =
+      dataplane::Quantizer::identity(features::kPacketFeatureCount);
   package.strategy = "tree_walk";
   return package;
 }
@@ -275,11 +272,11 @@ std::vector<std::string> run_pipeline(const std::vector<TraceFrame>& trace) {
   constexpr std::size_t kShards = 2;
   capture::ShardedCaptureEngine engine(
       {.shards = kShards, .ring_capacity = 1 << 9});
-  features::ShardedFlowCollector collector(kShards);
+  store::ShardedFlowIngester flows(kShards);
   features::PacketDatasetCollector datasets;
   engine.add_sink_factory([&](std::size_t shard) {
-    return [&collector, &datasets, shard](const capture::DecodedPacket& t) {
-      collector.meter(shard).offer(t.pkt, t.view, t.dir);
+    return [&flows, &datasets, shard](const capture::DecodedPacket& t) {
+      flows.meter(shard).offer(t.pkt, t.view, t.dir);
       datasets.offer(t.pkt, t.view, t.dir);
     };
   });
@@ -317,9 +314,10 @@ std::vector<std::string> run_pipeline(const std::vector<TraceFrame>& trace) {
     lines.push_back("verdict " + verdicts.substr(i, 64));
 
   // Flow exports in canonical merged order, field by field.
-  const auto flows = features::merge_flow_exports({collector.merged_export()});
-  lines.push_back("flows " + std::to_string(flows.size()));
-  for (const auto& r : flows) {
+  flows.flush();
+  const auto exports = flows.take();
+  lines.push_back("flows " + std::to_string(exports.size()));
+  for (const auto& r : exports) {
     std::ostringstream s;
     s << "flow " << r.tuple.to_string()
       << " dir=" << static_cast<int>(r.initial_direction)

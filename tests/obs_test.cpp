@@ -11,14 +11,13 @@
 #include "campuslab/capture/sharded_engine.h"
 #include "campuslab/control/development_loop.h"
 #include "campuslab/control/fast_loop.h"
-#include "campuslab/features/flow_merge.h"
 #include "campuslab/features/packet_dataset.h"
 #include "campuslab/features/packet_features.h"
 #include "campuslab/obs/metrics.h"
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
 #include "campuslab/packet/builder.h"
-#include "campuslab/store/datastore.h"
+#include "campuslab/store/shard.h"
 #include "campuslab/store/sharded_ingest.h"
 
 namespace campuslab {
@@ -310,10 +309,8 @@ control::DeploymentPackage make_frame_size_package(double split_bytes) {
   package.student = ml::DecisionTree(cfg);
   package.student.fit(data);
   package.task = control::AutomationTask::dns_amplification_drop();
-  std::vector<std::pair<double, double>> ranges(
-      features::kPacketFeatureCount,
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
-  package.quantizer = dataplane::Quantizer::from_ranges(std::move(ranges));
+  package.quantizer =
+      dataplane::Quantizer::identity(features::kPacketFeatureCount);
   package.strategy = "tree_walk";
   return package;
 }
@@ -325,16 +322,11 @@ TEST(ObsPipeline, SnapshotExposesAtLeastSixStages) {
   constexpr std::size_t kShards = 2;
   capture::ShardedCaptureEngine engine(
       {.shards = kShards, .ring_capacity = 1 << 10});
-  features::ShardedFlowCollector collector(kShards);
   store::ShardedFlowIngester ingester(kShards);
   features::PacketDatasetCollector datasets;
   engine.add_sink_factory([&](std::size_t shard) {
-    collector.meter(shard).set_sink(
-        [&ingester, shard](const capture::FlowRecord& r) {
-          ingester.ingest(shard, r);
-        });
-    return [&collector, &datasets, shard](const capture::DecodedPacket& t) {
-      collector.meter(shard).offer(t);
+    return [&ingester, &datasets, shard](const capture::DecodedPacket& t) {
+      ingester.meter(shard).offer(t);
       datasets.offer(t.pkt, t.view, t.dir);
     };
   });
@@ -352,9 +344,9 @@ TEST(ObsPipeline, SnapshotExposesAtLeastSixStages) {
     engine.offer(std::move(pkt), sim::Direction::kInbound);
   }
   engine.drain();
-  for (std::size_t s = 0; s < kShards; ++s) collector.meter(s).flush();
-  store::DataStore store;
-  ingester.merge_into(store);
+  ingester.flush();
+  store::LocalShard store;
+  (void)ingester.merge_into(store);
 
   const auto snap = obs::Registry::global().snapshot();
 

@@ -35,6 +35,7 @@
 #include "campuslab/resilience/retry.h"
 #include "campuslab/store/datastore.h"
 #include "campuslab/store/packet_archive.h"
+#include "campuslab/store/shard.h"
 #include "campuslab/store/sharded_ingest.h"
 #include "campuslab/util/rng.h"
 
@@ -544,9 +545,10 @@ TEST(StoreRetry, TransientIngestFailuresAreRetriedThrough) {
   for (int i = 0; i < 20; ++i)
     ingester.ingest(static_cast<std::size_t>(i % 2),
                     make_flow(static_cast<std::uint16_t>(1000 + i), i));
-  store::DataStore store;
+  store::LocalShard shard;
+  store::DataStore& store = shard.store();
   RetryPolicy policy;
-  const auto result = ingester.merge_into(store, policy, [](Duration) {});
+  const auto result = ingester.merge_into(shard, policy, [](Duration) {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 20u);
   EXPECT_EQ(ingester.pending(), 0u);
@@ -559,7 +561,8 @@ TEST(StoreRetry, ExhaustionRebuffersTailAndRecoversNextMerge) {
   for (int i = 0; i < 10; ++i)
     ingester.ingest(static_cast<std::size_t>(i % 2),
                     make_flow(static_cast<std::uint16_t>(2000 + i), i));
-  store::DataStore store;
+  store::LocalShard shard;
+  store::DataStore& store = shard.store();
   RetryPolicy policy;
   policy.max_attempts = 2;
   {
@@ -568,7 +571,7 @@ TEST(StoreRetry, ExhaustionRebuffersTailAndRecoversNextMerge) {
     plan.faults.push_back({.site = "store.ingest", .kind = FaultKind::kFail,
                            .every_n = 1});
     FaultScope scope(plan);
-    const auto result = ingester.merge_into(store, policy, [](Duration) {});
+    const auto result = ingester.merge_into(shard, policy, [](Duration) {});
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, "retry_exhausted");
   }
@@ -576,7 +579,7 @@ TEST(StoreRetry, ExhaustionRebuffersTailAndRecoversNextMerge) {
   EXPECT_EQ(store.catalog().total_flows, 0u);
   EXPECT_EQ(ingester.pending(), 10u);
   // Outage over: the re-buffered flows merge completely.
-  const auto result = ingester.merge_into(store, policy, [](Duration) {});
+  const auto result = ingester.merge_into(shard, policy, [](Duration) {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 10u);
   EXPECT_EQ(ingester.pending(), 0u);
@@ -587,7 +590,8 @@ TEST(StoreRetry, PartialExhaustionKeepsIngestedPrefix) {
   store::ShardedFlowIngester ingester(1);
   for (int i = 0; i < 10; ++i)
     ingester.ingest(0, make_flow(static_cast<std::uint16_t>(3000 + i), i));
-  store::DataStore store;
+  store::LocalShard shard;
+  store::DataStore& store = shard.store();
   RetryPolicy policy;
   policy.max_attempts = 2;
   {
@@ -597,16 +601,67 @@ TEST(StoreRetry, PartialExhaustionKeepsIngestedPrefix) {
     plan.faults.push_back({.site = "store.ingest", .kind = FaultKind::kFail,
                            .every_n = 1, .skip_first = 4});
     FaultScope scope(plan);
-    const auto result = ingester.merge_into(store, policy, [](Duration) {});
+    const auto result = ingester.merge_into(shard, policy, [](Duration) {});
     ASSERT_FALSE(result.ok());
   }
   EXPECT_EQ(store.catalog().total_flows, 4u);
   EXPECT_EQ(ingester.pending(), 6u);
-  const auto result = ingester.merge_into(store, policy, [](Duration) {});
+  const auto result = ingester.merge_into(shard, policy, [](Duration) {});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value(), 6u);
   EXPECT_EQ(store.catalog().total_flows, 10u);
   EXPECT_EQ(ingester.merged_total(), 10u);
+}
+
+TEST(StoreRetry, ExhaustedMergeResumesInCanonicalOrder) {
+  // The same buffers twice: flows spread over three shards against
+  // time order, with pairs tied on every sort key across shards
+  // (`packets` tells them apart).
+  store::ShardedFlowIngester faulted(3);
+  store::ShardedFlowIngester clean(3);
+  for (int i = 0; i < 24; ++i) {
+    auto flow = make_flow(static_cast<std::uint16_t>(4000 + (i / 2) % 4),
+                          (23 - i) / 2);
+    flow.packets = static_cast<std::uint64_t>(i + 1);
+    faulted.ingest(static_cast<std::size_t>(i % 3), flow);
+    clean.ingest(static_cast<std::size_t>(i % 3), flow);
+  }
+  store::LocalShard resumed;
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  {
+    // Seven rows land, then the store stays down: row 7 spends its
+    // whole budget — its first attempt inside the call that applied
+    // the prefix — and the merge gives up mid-batch.
+    FaultPlan plan;
+    plan.faults.push_back({.site = "store.ingest", .kind = FaultKind::kFail,
+                           .every_n = 1, .skip_first = 7});
+    FaultScope scope(plan);
+    std::size_t sleeps = 0;
+    const auto result =
+        faulted.merge_into(resumed, policy, [&sleeps](Duration) { ++sleeps; });
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, "retry_exhausted");
+    EXPECT_EQ(scope.injector().hits("store.ingest"), 7u + policy.max_attempts);
+    EXPECT_EQ(sleeps, policy.max_attempts - 1);
+  }
+  EXPECT_EQ(resumed.store().size(), 7u);
+  EXPECT_EQ(faulted.pending(), 17u);
+  ASSERT_TRUE(faulted.merge_into(resumed, policy, [](Duration) {}).ok());
+  store::LocalShard reference;
+  ASSERT_TRUE(clean.merge_into(reference).ok());
+
+  const auto got = resumed.store().query(store::FlowQuery{});
+  const auto want = reference.store().query(store::FlowQuery{});
+  ASSERT_EQ(got.size(), 24u);
+  ASSERT_EQ(want.size(), 24u);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << i;
+    EXPECT_EQ(got[i].flow.tuple.to_string(), want[i].flow.tuple.to_string())
+        << i;
+    EXPECT_EQ(got[i].flow.first_ts, want[i].flow.first_ts) << i;
+    EXPECT_EQ(got[i].flow.packets, want[i].flow.packets) << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -668,10 +723,8 @@ control::DeploymentPackage make_chaos_package() {
   package.student = ml::DecisionTree(cfg);
   package.student.fit(data);
   package.task = control::AutomationTask::dns_amplification_drop();
-  std::vector<std::pair<double, double>> ranges(
-      features::kPacketFeatureCount,
-      {0.0, static_cast<double>(dataplane::Quantizer::kMaxQ) + 1.0});
-  package.quantizer = dataplane::Quantizer::from_ranges(std::move(ranges));
+  package.quantizer =
+      dataplane::Quantizer::identity(features::kPacketFeatureCount);
   package.strategy = "tree_walk";
   return package;
 }
@@ -698,20 +751,14 @@ void run_chaos_class(const char* name, FaultSpec spec) {
                                         .max_worker_restarts = 64});
   resilience::DegradationController controller;
   store::ShardedFlowIngester ingester(kShards);
-  std::vector<std::unique_ptr<capture::FlowMeter>> meters;
   std::vector<std::unique_ptr<features::PacketDatasetCollector>> collectors;
   for (std::size_t s = 0; s < kShards; ++s) {
-    meters.push_back(std::make_unique<capture::FlowMeter>());
-    meters.back()->set_sink(
-        [&ingester, s](const capture::FlowRecord& flow) {
-          ingester.ingest(s, flow);
-        });
     collectors.push_back(
         std::make_unique<features::PacketDatasetCollector>());
     collectors.back()->set_degradation(&controller);
   }
-  engine.add_sink_factory([&meters, &collectors](std::size_t s) {
-    return [meter = meters[s].get(), collector = collectors[s].get()](
+  engine.add_sink_factory([&ingester, &collectors](std::size_t s) {
+    return [meter = &ingester.meter(s), collector = collectors[s].get()](
                const capture::DecodedPacket& t) {
       meter->offer(t.pkt, t.view, t.dir);
       collector->offer(t.pkt, t.view, t.dir);
@@ -746,10 +793,10 @@ void run_chaos_class(const char* name, FaultSpec spec) {
   engine.stop();
 
   // Store merge rides the retry path (store.ingest faults land here).
-  store::DataStore store;
+  store::LocalShard shard;
   RetryPolicy policy;
   policy.max_attempts = 4;
-  const auto merged = ingester.merge_into(store, policy, [](Duration) {});
+  const auto merged = ingester.merge_into(shard, policy, [](Duration) {});
   EXPECT_TRUE(merged.ok());
 
   // 1. Every injected fault is recorded in obs, and something fired.

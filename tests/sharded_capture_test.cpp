@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "campuslab/capture/sharded_engine.h"
-#include "campuslab/features/flow_merge.h"
 #include "campuslab/packet/builder.h"
+#include "campuslab/store/shard.h"
 #include "campuslab/store/sharded_ingest.h"
 #include "campuslab/util/rng.h"
 
@@ -221,9 +221,9 @@ TEST(ShardedCaptureEngine, DropsAttributedToTheFullShard) {
   EXPECT_EQ(engine.stats().consumed, 2u);
 }
 
-// The full pipeline: workers meter flows shard-locally, evictions go
-// through the ShardedFlowIngester, and the ordered merge lands every
-// flow in the DataStore — with identical store content across runs.
+// The full pipeline: workers meter flows on the ShardedFlowIngester's
+// per-shard meters, and the ordered merge lands every flow in the
+// store — with identical store content across runs.
 TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
   const auto traffic = make_traffic(60'000, 48, 0xCAFE);
 
@@ -232,14 +232,11 @@ TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
     cfg.shards = shards;
     cfg.ring_capacity = 1 << 12;
     ShardedCaptureEngine engine(cfg);
-    features::ShardedFlowCollector flows(shards);
     store::ShardedFlowIngester ingester(shards);
-    for (std::size_t s = 0; s < shards; ++s)
-      flows.meter(s).set_sink([&ingester, s](const FlowRecord& r) {
-        ingester.ingest(s, r);
-      });
     engine.add_sink_factory([&](std::size_t s) {
-      return [&flows, s](const DecodedPacket& t) { flows.meter(s).offer(t); };
+      return [&ingester, s](const DecodedPacket& t) {
+        ingester.meter(s).offer(t);
+      };
     });
 
     engine.start();
@@ -250,16 +247,17 @@ TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
     }
     engine.stop();
     // Workers are quiesced: flush the residual flow tables.
-    for (std::size_t s = 0; s < shards; ++s) flows.meter(s).flush();
+    ingester.flush();
 
-    store::DataStore store;
-    const auto ingested = ingester.merge_into(store);
+    store::LocalShard shard;
+    store::DataStore& store = shard.store();
+    const auto ingested = ingester.merge_into(shard).value();
     EXPECT_EQ(ingester.pending(), 0u);
     EXPECT_EQ(ingester.merged_total(), ingested);
 
     // Conservation: every consumed IPv4 packet sits in exactly one
     // stored flow.
-    const auto meter_stats = flows.merged_meter_stats();
+    const auto meter_stats = ingester.meter_stats();
     EXPECT_EQ(meter_stats.packets_seen, engine.stats().consumed);
     std::uint64_t stored_packets = 0;
     std::vector<std::pair<std::string, std::uint64_t>> signature;

@@ -8,12 +8,13 @@
 // capture-path changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "campuslab/capture/sharded_engine.h"
-#include "campuslab/features/flow_merge.h"
 #include "campuslab/sim/simulator.h"
+#include "campuslab/store/sharded_ingest.h"
 
 namespace campuslab::capture {
 namespace {
@@ -118,16 +119,16 @@ TEST(ShardedDeterminism, SingleShardMatchesSerialMeterByteForByte) {
 }
 
 // The merged (canonically ordered) export is also invariant: sorting
-// the serial reference gives exactly the sharded collector's merge of
+// the serial reference gives exactly the sharded ingester's take() of
 // a run on a real worker thread.
 TEST(ShardedDeterminism, MergedExportIsCanonical) {
   const auto trace = record_trace();
-  const auto canonical =
-      features::merge_flow_exports({serial_exports(trace)});
+  auto canonical = serial_exports(trace);
+  std::stable_sort(canonical.begin(), canonical.end(), flow_export_before);
 
   auto sharded_merged = [&] {
     ShardedCaptureEngine engine({.shards = 1, .ring_capacity = 1 << 16});
-    features::ShardedFlowCollector flows(engine.shards());
+    store::ShardedFlowIngester flows(engine.shards());
     engine.add_sink_factory([&](std::size_t s) {
       return [&flows, s](const DecodedPacket& t) { flows.meter(s).offer(t); };
     });
@@ -137,7 +138,8 @@ TEST(ShardedDeterminism, MergedExportIsCanonical) {
       }
     }
     engine.stop();
-    return flows.merged_export();
+    flows.flush();
+    return flows.take();
   }();
 
   EXPECT_EQ(serialize_all(sharded_merged), serialize_all(canonical));
