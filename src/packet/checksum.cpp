@@ -3,18 +3,29 @@
 namespace campuslab::packet {
 
 void ChecksumAccumulator::add(std::span<const std::uint8_t> data) noexcept {
-  std::size_t i = 0;
-  if (odd_ && !data.empty()) {
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (odd_ && n > 0) {
     // Complete the dangling high byte with this chunk's first byte.
-    sum_ += data[0];
+    sum_ += *p++;
+    --n;
     odd_ = false;
-    i = 1;
   }
-  for (; i + 1 < data.size(); i += 2) {
-    sum_ += (static_cast<std::uint32_t>(data[i]) << 8) | data[i + 1];
+  // Whole 32-bit big-endian words: (hi << 16) | lo is congruent to
+  // hi + lo modulo 0xFFFF, so the folded sum equals the 16-bit one.
+  // The 64-bit sum cannot overflow below 2^32 words.
+  for (; n >= 4; p += 4, n -= 4) {
+    sum_ += (static_cast<std::uint32_t>(p[0]) << 24) |
+            (static_cast<std::uint32_t>(p[1]) << 16) |
+            (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
   }
-  if (i < data.size()) {
-    sum_ += static_cast<std::uint32_t>(data[i]) << 8;
+  if (n >= 2) {
+    sum_ += (static_cast<std::uint32_t>(p[0]) << 8) | p[1];
+    p += 2;
+    n -= 2;
+  }
+  if (n == 1) {
+    sum_ += static_cast<std::uint32_t>(p[0]) << 8;
     odd_ = true;
   }
 }
@@ -41,14 +52,21 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) noexcept {
   return acc.finish();
 }
 
-std::uint16_t transport_checksum(
-    Ipv4Address src, Ipv4Address dst, IpProto proto,
-    std::span<const std::uint8_t> segment) noexcept {
+ChecksumAccumulator pseudo_header_sum(Ipv4Address src, Ipv4Address dst,
+                                      IpProto proto,
+                                      std::size_t segment_length) noexcept {
   ChecksumAccumulator acc;
   acc.add_u32(src.value());
   acc.add_u32(dst.value());
   acc.add_u16(static_cast<std::uint16_t>(proto));
-  acc.add_u16(static_cast<std::uint16_t>(segment.size()));
+  acc.add_u16(static_cast<std::uint16_t>(segment_length));
+  return acc;
+}
+
+std::uint16_t transport_checksum(
+    Ipv4Address src, Ipv4Address dst, IpProto proto,
+    std::span<const std::uint8_t> segment) noexcept {
+  auto acc = pseudo_header_sum(src, dst, proto, segment.size());
   acc.add(segment);
   return acc.finish();
 }

@@ -49,9 +49,12 @@ class PacketBuilder {
                       std::uint8_t type = IcmpHeader::kEchoRequest,
                       std::uint8_t code = 0, std::uint32_t rest = 0);
 
-  /// Attach explicit payload bytes.
+  /// Attach explicit payload bytes (copied). Replaces any earlier
+  /// payload()/payload_size(): the last call wins.
   PacketBuilder& payload(std::span<const std::uint8_t> data);
-  /// Attach `n` deterministic filler bytes (for size-accurate traffic).
+  /// Attach `n` deterministic filler bytes (for size-accurate traffic):
+  /// byte i is `0xA5 ^ (i & 0xFF)`. Records only the length; build()
+  /// writes the bytes. Replaces any earlier payload(): the last call wins.
   PacketBuilder& payload_size(std::size_t n);
 
   PacketBuilder& ttl(std::uint8_t ttl_value) {
@@ -68,8 +71,17 @@ class PacketBuilder {
     return *this;
   }
 
+  /// Largest payload one IPv4 datagram can carry behind an L4 header of
+  /// `l4_header_bytes`: 65,535 - 20 - l4_header_bytes.
+  static constexpr std::size_t max_payload(std::size_t l4_header_bytes) {
+    return 0xFFFF - Ipv4Header::kMinSize - l4_header_bytes;
+  }
+
   /// Assemble the frame: Ethernet + IPv4 (+TCP/UDP/ICMP) + payload, with
-  /// all lengths and checksums correct. Precondition: one of
+  /// all lengths and checksums correct. A payload longer than
+  /// max_payload() of the L4 header is cut to it, so the 16-bit IPv4
+  /// total length and UDP length never wrap. The frame is written once,
+  /// straight into one pool buffer. Precondition: one of
   /// tcp()/udp()/icmp() was called.
   Packet build() const;
 
@@ -89,7 +101,8 @@ class PacketBuilder {
   std::uint8_t ttl_ = Ipv4Header::kDefaultTtl;
   TrafficLabel label_ = TrafficLabel::kBenign;
   std::uint32_t scenario_id_ = 0;
-  std::vector<std::uint8_t> payload_;
+  std::vector<std::uint8_t> payload_;  // explicit payload() bytes
+  std::size_t filler_ = 0;             // payload_size() filler length
 };
 
 /// Convenience: a UDP frame carrying a serialized DNS message.

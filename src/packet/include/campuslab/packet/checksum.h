@@ -26,6 +26,12 @@ class ChecksumAccumulator {
 /// Plain Internet checksum over a buffer (IPv4 header checksum).
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) noexcept;
 
+/// An accumulator primed with the TCP/UDP IPv4 pseudo-header of a
+/// `segment_length`-byte segment; add the segment's bytes, then finish().
+ChecksumAccumulator pseudo_header_sum(Ipv4Address src, Ipv4Address dst,
+                                      IpProto proto,
+                                      std::size_t segment_length) noexcept;
+
 /// TCP/UDP checksum including the IPv4 pseudo-header.
 /// `segment` covers the transport header + payload with its checksum
 /// field zeroed.

@@ -56,6 +56,10 @@ class Packet {
   void assign(std::span<const std::uint8_t> frame);
   /// Replace the frame with `n` bytes of `fill`.
   void assign(std::size_t n, std::uint8_t fill);
+  /// Replace the frame with `n` uninitialized bytes and return them for
+  /// the caller to fill (reuses the buffer like assign()). A writer that
+  /// fills every byte pays no memset.
+  std::span<std::uint8_t> assign_uninitialized(std::size_t n);
   /// Copy-on-write resize; grown bytes are zero-filled.
   void resize(std::size_t n);
   /// Copy-on-write mutable access to the frame bytes.

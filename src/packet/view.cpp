@@ -20,12 +20,17 @@ void Packet::assign(std::span<const std::uint8_t> frame) {
 }
 
 void Packet::assign(std::size_t n, std::uint8_t fill) {
+  const auto out = assign_uninitialized(n);
+  if (n > 0) std::memset(out.data(), fill, n);
+}
+
+std::span<std::uint8_t> Packet::assign_uninitialized(std::size_t n) {
   if (buf_ && buf_.unique() && n <= buf_->capacity()) {
     buf_->set_size(static_cast<std::uint32_t>(n));
   } else {
     buf_ = default_buffer_pool().acquire(n);
   }
-  if (n > 0) std::memset(buf_->data(), fill, n);
+  return {buf_->data(), n};
 }
 
 void Packet::resize(std::size_t n) {

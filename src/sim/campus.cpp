@@ -36,9 +36,8 @@ void CampusNetwork::inject(Direction dir, packet::Packet pkt) {
       if (auto* sc = scenario_slot(pkt)) ++sc->lost;
       return;  // dropped in the border egress queue
     }
-    // Packets are pooled-buffer handles now: capturing one by value is
-    // a refcount bump, so no shared_ptr wrapper is needed.
-    events_->schedule_at(*delivery, [this, pkt = std::move(pkt)]() mutable {
+    events_->schedule_at(*delivery, [this, slot = park(std::move(pkt))] {
+      auto pkt = unpark(slot);
       pkt.ts = events_->now();
       accounting_.delivered_out.count(pkt);
       if (auto* sc = scenario_slot(pkt)) {
@@ -57,7 +56,8 @@ void CampusNetwork::inject(Direction dir, packet::Packet pkt) {
     if (auto* sc = scenario_slot(pkt)) ++sc->lost;
     return;
   }
-  events_->schedule_at(*delivery, [this, pkt = std::move(pkt)]() mutable {
+  events_->schedule_at(*delivery, [this, slot = park(std::move(pkt))] {
+    auto pkt = unpark(slot);
     pkt.ts = events_->now();
     deliver_inbound(std::move(pkt));
   });
@@ -93,7 +93,8 @@ void CampusNetwork::deliver_inbound(packet::Packet pkt) {
       if (auto* sc = scenario_slot(pkt)) ++sc->lost;
       return;
     }
-    events_->schedule_at(*delivery, [this, pkt = std::move(pkt)] {
+    events_->schedule_at(*delivery, [this, slot = park(std::move(pkt))] {
+      const auto pkt = unpark(slot);
       accounting_.delivered.count(pkt);
       if (auto* sc = scenario_slot(pkt)) ++sc->delivered;
     });
@@ -101,6 +102,23 @@ void CampusNetwork::deliver_inbound(packet::Packet pkt) {
   }
   accounting_.delivered.count(pkt);
   if (auto* sc = scenario_slot(pkt)) ++sc->delivered;
+}
+
+std::uint32_t CampusNetwork::park(packet::Packet pkt) {
+  if (free_slots_.empty()) {
+    in_flight_.push_back(std::move(pkt));
+    return static_cast<std::uint32_t>(in_flight_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  in_flight_[slot] = std::move(pkt);
+  return slot;
+}
+
+packet::Packet CampusNetwork::unpark(std::uint32_t slot) {
+  packet::Packet pkt = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  return pkt;
 }
 
 double CampusNetwork::diurnal_factor(Timestamp t) const noexcept {

@@ -128,6 +128,12 @@ class CampusNetwork {
 
  private:
   void deliver_inbound(packet::Packet pkt);
+  /// Holds a frame in the slot table until its delivery event fires.
+  /// The event captures only `this` and the slot index: 16 trivially
+  /// copyable bytes, which std::function stores without allocating.
+  std::uint32_t park(packet::Packet pkt);
+  /// Takes the frame out of its slot and frees the slot.
+  packet::Packet unpark(std::uint32_t slot);
   ScenarioCounters* scenario_slot(const packet::Packet& pkt) {
     if (pkt.scenario_id == 0) return nullptr;
     return &scenario_accounting_[pkt.scenario_id];
@@ -143,6 +149,8 @@ class CampusNetwork {
   IngressFilter filter_;
   DeliveryAccounting accounting_;
   std::map<std::uint32_t, ScenarioCounters> scenario_accounting_;
+  std::vector<packet::Packet> in_flight_;  // frames on a link, by slot
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace campuslab::sim

@@ -129,6 +129,9 @@ class ByteWriter {
     buf_[offset + 1] = static_cast<std::uint8_t>(v);
   }
 
+  /// Empty the writer, keeping its capacity for the next message.
+  void clear() noexcept { buf_.clear(); }
+
   std::size_t size() const noexcept { return buf_.size(); }
   std::span<const std::uint8_t> view() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() && { return std::move(buf_); }

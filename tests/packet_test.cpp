@@ -4,6 +4,9 @@
 // layered decoding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "campuslab/packet/addr.h"
 #include "campuslab/packet/builder.h"
 #include "campuslab/packet/checksum.h"
@@ -17,6 +20,18 @@ namespace {
 
 Endpoint make_ep(std::uint32_t id, Ipv4Address ip, std::uint16_t port) {
   return Endpoint{MacAddress::from_id(id), ip, port};
+}
+
+// Reference RFC 1071 sum, two bytes per step, an odd last byte as a
+// high byte: ChecksumAccumulator sums 32-bit words and must agree.
+std::uint16_t reference_checksum(std::span<const std::uint8_t> data) {
+  std::uint64_t sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2)
+    sum += (static_cast<std::uint32_t>(data[i]) << 8) | data[i + 1];
+  if (i < data.size()) sum += static_cast<std::uint32_t>(data[i]) << 8;
+  while (sum >> 16) sum = (sum & 0xFFFF) + (sum >> 16);
+  return static_cast<std::uint16_t>(~sum);
 }
 
 // ------------------------------------------------------------- Addresses
@@ -105,6 +120,33 @@ TEST(Checksum, ChunkedEqualsWhole) {
   chunked.add(std::span(data).subspan(101, 55));
   chunked.add(std::span(data).subspan(156));
   EXPECT_EQ(chunked.finish(), internet_checksum(data));
+}
+
+// Property: feeding a buffer in random chunks (odd lengths, empty ones)
+// gives the two-bytes-per-step sum of the whole buffer, including the
+// edge sums of all-zero and all-0xFF data.
+TEST(Checksum, WordSumMatchesByteSumOnRandomChunks) {
+  Rng rng(1071);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> data(rng.below(1500));
+    const auto kind = rng.below(4);
+    for (auto& b : data)
+      b = kind == 0   ? 0x00
+          : kind == 1 ? 0xFF
+                      : static_cast<std::uint8_t>(rng.next());
+    ChecksumAccumulator chunked;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const std::size_t n = std::min<std::size_t>(rng.below(38),
+                                                  data.size() - at);
+      chunked.add(std::span(data).subspan(at, n));
+      at += n;
+    }
+    ASSERT_EQ(chunked.finish(), reference_checksum(data))
+        << "trial " << trial << ", " << data.size() << " bytes";
+    ASSERT_EQ(internet_checksum(data), reference_checksum(data))
+        << "trial " << trial << ", " << data.size() << " bytes";
+  }
 }
 
 TEST(Checksum, VerifyingCorrectPacketYieldsZero) {
@@ -522,6 +564,237 @@ TEST(BuilderProperty, RandomFramesRoundTrip) {
         pkt.bytes().subspan(EthernetHeader::kSize, 20);
     EXPECT_EQ(internet_checksum(ip_header), 0);
   }
+}
+
+TEST(Builder, PayloadCappedAtIpv4Maximum) {
+  // 70,000 bytes would wrap the 16-bit IPv4 total length and UDP length
+  // (to 4,492 and 4,472); build() cuts the payload to what one IPv4
+  // datagram carries behind the L4 header instead.
+  const auto src = make_ep(1, Ipv4Address(10, 0, 1, 5), 999);
+  const auto dst = make_ep(2, Ipv4Address(10, 0, 2, 6), 53);
+  const auto udp =
+      PacketBuilder(Timestamp{}).udp(src, dst).payload_size(70'000).build();
+  PacketView v(udp);
+  ASSERT_TRUE(v.valid());
+  EXPECT_EQ(udp.size(), 65'549u);
+  EXPECT_EQ(v.ipv4().total_length, 65'535);
+  EXPECT_EQ(v.udp().length, 65'515);
+  EXPECT_EQ(v.payload().size(), 65'507u);
+  EXPECT_EQ(transport_checksum(src.ip, dst.ip, IpProto::kUdp,
+                               udp.bytes().subspan(34)),
+            0);
+
+  const std::vector<std::uint8_t> big(70'000, 0x5A);
+  const auto tcp = PacketBuilder(Timestamp{})
+                       .tcp(src, dst, TcpFlags::kAck)
+                       .payload(big)
+                       .build();
+  PacketView t(tcp);
+  ASSERT_TRUE(t.valid());
+  EXPECT_EQ(t.ipv4().total_length, 65'535);
+  EXPECT_EQ(t.payload().size(), PacketBuilder::max_payload(20));
+  EXPECT_EQ(t.payload().size(), 65'495u);
+}
+
+// Reference builder: the payload is a vector (filler made a byte at a
+// time), the L4 segment goes into its own writer and the frame into a
+// third, and every checksum is summed two bytes per step. The payload
+// is capped as build() caps it.
+struct FrameSpec {
+  enum class L4 { kTcp, kUdp, kIcmp } l4 = L4::kTcp;
+  Endpoint src;
+  Endpoint dst;
+  std::uint8_t flags_or_type = 0;
+  std::uint8_t icmp_code = 0;
+  std::uint32_t seq_or_rest = 0;
+  std::uint32_t ack = 0;
+  std::uint8_t ttl = Ipv4Header::kDefaultTtl;
+  std::vector<std::uint8_t> payload;  // the call that wins
+};
+
+std::vector<std::uint8_t> reference_frame(const FrameSpec& f) {
+  ByteWriter l4w;
+  IpProto proto = IpProto::kTcp;
+  std::size_t checksum_at = 16;
+  std::size_t l4_header = TcpHeader::kMinSize;
+  if (f.l4 != FrameSpec::L4::kTcp) l4_header = UdpHeader::kSize;
+  const std::size_t payload_len =
+      std::min(f.payload.size(), PacketBuilder::max_payload(l4_header));
+  switch (f.l4) {
+    case FrameSpec::L4::kTcp: {
+      TcpHeader t;
+      t.src_port = f.src.port;
+      t.dst_port = f.dst.port;
+      t.seq = f.seq_or_rest;
+      t.ack = f.ack;
+      t.flags = f.flags_or_type;
+      t.encode(l4w);
+      break;
+    }
+    case FrameSpec::L4::kUdp: {
+      proto = IpProto::kUdp;
+      checksum_at = 6;
+      UdpHeader u;
+      u.src_port = f.src.port;
+      u.dst_port = f.dst.port;
+      u.length = static_cast<std::uint16_t>(UdpHeader::kSize + payload_len);
+      u.encode(l4w);
+      break;
+    }
+    case FrameSpec::L4::kIcmp: {
+      proto = IpProto::kIcmp;
+      checksum_at = 2;
+      IcmpHeader ic;
+      ic.type = f.flags_or_type;
+      ic.code = f.icmp_code;
+      ic.rest = f.seq_or_rest;
+      ic.encode(l4w);
+      break;
+    }
+  }
+  l4w.bytes(std::span(f.payload).first(payload_len));
+  auto segment = std::move(l4w).take();
+  ByteWriter summed;
+  if (proto != IpProto::kIcmp) {
+    summed.u32(f.src.ip.value());
+    summed.u32(f.dst.ip.value());
+    summed.u8(0);
+    summed.u8(static_cast<std::uint8_t>(proto));
+    summed.u16(static_cast<std::uint16_t>(segment.size()));
+  }
+  summed.bytes(segment);
+  const std::uint16_t l4_sum = reference_checksum(summed.view());
+  segment[checksum_at] = static_cast<std::uint8_t>(l4_sum >> 8);
+  segment[checksum_at + 1] = static_cast<std::uint8_t>(l4_sum);
+
+  Ipv4Header ip;
+  ip.total_length =
+      static_cast<std::uint16_t>(Ipv4Header::kMinSize + segment.size());
+  const std::uint32_t seq =
+      f.l4 == FrameSpec::L4::kTcp ? f.seq_or_rest : 0;
+  ip.identification = static_cast<std::uint16_t>(
+      (f.src.ip.value() ^ f.dst.ip.value() ^ seq) & 0xFFFF);
+  ip.flags = 0x2;
+  ip.ttl = f.ttl;
+  ip.protocol = static_cast<std::uint8_t>(proto);
+  ip.src = f.src.ip;
+  ip.dst = f.dst.ip;
+  EthernetHeader eth;
+  eth.dst = f.dst.mac;
+  eth.src = f.src.mac;
+  eth.ether_type = static_cast<std::uint16_t>(EtherType::kIpv4);
+  ByteWriter frame;
+  eth.encode(frame);
+  ip.encode(frame);
+  auto out = std::move(frame).take();
+  out[24] = out[25] = 0;  // re-sum the IPv4 header the reference way
+  const std::uint16_t ip_sum =
+      reference_checksum(std::span(out).subspan(EthernetHeader::kSize));
+  out[24] = static_cast<std::uint8_t>(ip_sum >> 8);
+  out[25] = static_cast<std::uint8_t>(ip_sum);
+  out.insert(out.end(), segment.begin(), segment.end());
+  return out;
+}
+
+// Property: build() writes exactly the reference's bytes for every L4
+// kind, for filler lengths across the pool's slab boundary and past the
+// IPv4 maximum, for odd-length explicit payloads, and whichever of
+// payload()/payload_size() is called last.
+TEST(Builder, MatchesReferenceEncoderOnGeneratedFrames) {
+  std::vector<std::size_t> filler_lengths;
+  for (std::size_t n = 0; n <= 600; ++n) filler_lengths.push_back(n);
+  // 1,460: a full-MSS segment. 4,041-4,043 (TCP) and 4,053-4,055 (UDP,
+  // ICMP) frame at 4,095-4,097 bytes, across the 4 KiB slab; 4,095-4,097
+  // and 70,000 take the oversize path.
+  for (std::size_t n : {1459, 1460, 1461, 4041, 4042, 4043, 4053, 4054,
+                        4055, 4095, 4096, 4097, 70'000})
+    filler_lengths.push_back(n);
+
+  Rng rng(4242);
+  std::size_t cases = 0;
+  const auto check = [&](std::size_t filler, bool filler_last,
+                         std::size_t explicit_len, FrameSpec::L4 l4) {
+    FrameSpec f;
+    f.l4 = l4;
+    f.src = make_ep(static_cast<std::uint32_t>(rng.next()),
+                    Ipv4Address(static_cast<std::uint32_t>(rng.next())),
+                    static_cast<std::uint16_t>(rng.next()));
+    f.dst = make_ep(static_cast<std::uint32_t>(rng.next()),
+                    Ipv4Address(static_cast<std::uint32_t>(rng.next())),
+                    static_cast<std::uint16_t>(rng.next()));
+    f.flags_or_type = static_cast<std::uint8_t>(rng.below(64));
+    f.icmp_code = static_cast<std::uint8_t>(rng.below(16));
+    f.seq_or_rest = static_cast<std::uint32_t>(rng.next());
+    f.ack = static_cast<std::uint32_t>(rng.next());
+    f.ttl = static_cast<std::uint8_t>(1 + rng.below(255));
+    std::vector<std::uint8_t> explicit_bytes(explicit_len);
+    for (auto& b : explicit_bytes) b = static_cast<std::uint8_t>(rng.next());
+
+    PacketBuilder b(Timestamp::from_nanos(static_cast<std::int64_t>(cases)));
+    switch (l4) {
+      case FrameSpec::L4::kTcp:
+        b.tcp(f.src, f.dst, f.flags_or_type, f.seq_or_rest, f.ack);
+        break;
+      case FrameSpec::L4::kUdp:
+        b.udp(f.src, f.dst);
+        break;
+      case FrameSpec::L4::kIcmp:
+        b.icmp(f.src, f.dst, f.flags_or_type, f.icmp_code, f.seq_or_rest);
+        break;
+    }
+    b.ttl(f.ttl);
+    if (filler_last) {
+      if (explicit_len > 0) b.payload(explicit_bytes);
+      b.payload_size(filler);
+      f.payload.resize(filler);
+      for (std::size_t i = 0; i < filler; ++i)
+        f.payload[i] = static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF));
+    } else {
+      b.payload_size(filler);
+      b.payload(explicit_bytes);
+      f.payload = explicit_bytes;
+    }
+    const auto pkt = b.build();
+    const auto want = reference_frame(f);
+    const auto got = pkt.copy_bytes();
+    const std::string what =
+        "case " + std::to_string(cases) + ": l4 " +
+        std::to_string(static_cast<int>(l4)) + ", filler " +
+        std::to_string(filler) + ", explicit " +
+        std::to_string(explicit_len) + ", filler last " +
+        std::to_string(filler_last);
+    ++cases;
+    ASSERT_EQ(got.size(), want.size()) << what;
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    ASSERT_TRUE(diff.first == got.end())
+        << what << ": first differing byte at "
+        << (diff.first - got.begin());
+    const auto segment = pkt.bytes().subspan(34);
+    if (l4 == FrameSpec::L4::kIcmp) {
+      ASSERT_EQ(internet_checksum(segment), 0) << what;
+    } else {
+      const auto proto =
+          l4 == FrameSpec::L4::kTcp ? IpProto::kTcp : IpProto::kUdp;
+      ASSERT_EQ(transport_checksum(f.src.ip, f.dst.ip, proto, segment), 0)
+          << what;
+    }
+  };
+
+  for (const auto l4 :
+       {FrameSpec::L4::kTcp, FrameSpec::L4::kUdp, FrameSpec::L4::kIcmp}) {
+    for (const std::size_t n : filler_lengths) {
+      check(n, true, 0, l4);
+      if (HasFatalFailure()) return;
+    }
+    for (int i = 0; i < 100 && !HasFatalFailure(); ++i) {
+      // Odd-length explicit payloads, then both calls in either order.
+      check(0, false, 2 * rng.below(800) + 1, l4);
+      check(rng.below(1500), rng.chance(0.5), 1 + rng.below(1500), l4);
+    }
+    check(0, false, 70'001, l4);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(cases, 3 * (filler_lengths.size() + 201));
 }
 
 }  // namespace
