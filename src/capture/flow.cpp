@@ -5,6 +5,7 @@
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
 #include "campuslab/resilience/fault.h"
+#include "campuslab/util/hash.h"
 
 namespace campuslab::capture {
 
@@ -34,6 +35,15 @@ struct FlowMetrics {
   }
 };
 
+/// The index word keeps the flow hash's top 32 bits.
+constexpr std::uint64_t kHashTop = 0xFFFFFFFF00000000ULL;
+
+/// Whether `b`, in either direction, is the conversation `a` keys.
+bool same_flow(const packet::FiveTuple& a,
+               const packet::FiveTuple& b) noexcept {
+  return a == b || a == b.reversed();
+}
+
 }  // namespace
 
 packet::TrafficLabel FlowRecord::majority_label() const noexcept {
@@ -52,10 +62,122 @@ bool flow_export_before(const FlowRecord& a, const FlowRecord& b) noexcept {
   return a.tuple < b.tuple;
 }
 
-FlowMeter::FlowMeter(FlowMeterConfig config) : config_(config) {}
+std::uint32_t FlowTable::find(std::uint64_t hash,
+                              const packet::FiveTuple& tuple) const noexcept {
+  if (index_.empty()) return kNone;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t pos = home(hash, bits_);; pos = (pos + 1) & mask) {
+    const std::uint64_t word = index_[pos];
+    if (word == 0) return kNone;
+    if (((word ^ hash) & kHashTop) == 0) {
+      const auto slot = static_cast<std::uint32_t>(word) - 1;
+      if (same_flow(record(slot).tuple, tuple)) return slot;
+    }
+  }
+}
+
+std::uint32_t FlowTable::insert(std::uint64_t hash) {
+  if ((size_ + 1) * 2 > index_.size()) grow();
+  std::uint32_t slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = claimed_++;
+    if ((slot & (kChunkSlots - 1)) == 0)
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  Slot& s = at(slot);
+  s.word = (hash & kHashTop) | (std::uint64_t{slot} + 1);
+  s.record = FlowRecord{};
+  place(s.word);
+  ++size_;
+  return slot;
+}
+
+void FlowTable::erase(std::uint32_t slot) noexcept {
+  Slot& s = at(slot);
+  const std::size_t mask = index_.size() - 1;
+  std::size_t hole = home(s.word, bits_);
+  while (index_[hole] != s.word) hole = (hole + 1) & mask;
+  // Backward shift: pull each later word of the probe run into the hole
+  // unless the hole lies before that word's home.
+  for (std::size_t pos = (hole + 1) & mask; index_[pos] != 0;
+       pos = (pos + 1) & mask) {
+    const std::size_t from_home = (pos - home(index_[pos], bits_)) & mask;
+    if (from_home >= ((pos - hole) & mask)) {
+      index_[hole] = index_[pos];
+      hole = pos;
+    }
+  }
+  index_[hole] = 0;
+  s.word = 0;
+  free_.push_back(slot);
+  --size_;
+}
+
+void FlowTable::place(std::uint64_t word) noexcept {
+  // The word's top 32 bits are the hash's, so its home is the hash's.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t pos = home(word, bits_);
+  while (index_[pos] != 0) pos = (pos + 1) & mask;
+  index_[pos] = word;
+}
+
+void FlowTable::grow() {
+  bits_ = index_.empty() ? kMinIndexBits : bits_ + 1;
+  std::vector<std::uint64_t> old(std::size_t{1} << bits_);
+  old.swap(index_);
+  for (const std::uint64_t word : old)
+    if (word != 0) place(word);
+}
+
+void FlowTable::shrink() {
+  if (claimed_ < kChunkSlots || size_ * 4 > claimed_) return;
+  if (size_ == 0) {
+    clear();
+    return;
+  }
+  std::uint32_t to = 0;
+  for (std::uint32_t from = static_cast<std::uint32_t>(size_);
+       from < claimed_; ++from) {
+    if (!live(from)) continue;
+    while (live(to)) ++to;
+    at(to).record = at(from).record;
+    at(to).word = (at(from).word & kHashTop) | (std::uint64_t{to} + 1);
+  }
+  claimed_ = static_cast<std::uint32_t>(size_);
+  std::vector<std::uint32_t>().swap(free_);
+  chunks_.resize((claimed_ + kChunkSlots - 1) >> kChunkBits);
+  bits_ = kMinIndexBits;
+  while ((size_ + 1) * 2 > (std::size_t{1} << bits_)) ++bits_;
+  std::vector<std::uint64_t>(std::size_t{1} << bits_).swap(index_);
+  for (std::uint32_t slot = 0; slot < claimed_; ++slot) place(at(slot).word);
+}
+
+std::uint32_t FlowMeter::capacity_sample(std::uint64_t draw,
+                                         std::uint32_t slots) noexcept {
+  constexpr std::uint64_t kSeed = 0x5A3D1E5EEDULL;
+  return static_cast<std::uint32_t>(util::mix64(kSeed + draw) % slots);
+}
+
+FlowMeter::FlowMeter(FlowMeterConfig config) : config_(config) {
+  // The index addresses at most 2^32 words and stays half full.
+  config_.max_flows = std::clamp<std::size_t>(config_.max_flows, 1,
+                                              std::size_t{1} << 31);
+}
 
 void FlowMeter::offer(const packet::Packet& pkt, const PacketView& view,
                       sim::Direction dir) {
+  update(pkt, view, dir, flow_hash(view));
+}
+
+void FlowMeter::offer(const DecodedPacket& decoded) {
+  update(decoded.pkt, decoded.view, decoded.dir, decoded.hash);
+}
+
+void FlowMeter::update(const packet::Packet& pkt, const PacketView& view,
+                       sim::Direction dir, std::uint64_t hash) {
   auto& metrics = FlowMetrics::get();
   obs::StageTimer stage_timer(metrics.update_ns);
   resilience::fault_point("flow.update");
@@ -65,52 +187,26 @@ void FlowMeter::offer(const packet::Packet& pkt, const PacketView& view,
     return;
   }
   const auto tuple = *view.five_tuple();
-  const auto key = tuple.bidirectional();
 
-  auto it = table_.find(key);
-  if (it == table_.end()) {
+  std::uint32_t slot = table_.find(hash, tuple);
+  if (slot == FlowTable::kNone) {
     if (table_.size() >= config_.max_flows) {
-      // Capacity pressure: sampled eviction (as hardware NetFlow caches
-      // do) — probe a few random buckets and evict the idlest of the
-      // sampled entries. O(1) amortized even under flood-driven table
-      // churn, where a full scan would be quadratic.
-      auto victim = table_.end();
-      int sampled = 0;
-      std::size_t guard = 0;
-      const std::size_t buckets = table_.bucket_count();
-      while (sampled < 4 && guard < buckets * 2) {
-        const std::size_t b =
-            static_cast<std::size_t>(evict_cursor_++ *
-                                     0x9E3779B97F4A7C15ULL % buckets);
-        ++guard;
-        const auto local = table_.begin(b);
-        if (local == table_.end(b)) continue;
-        const auto cand = table_.find(local->first);
-        ++sampled;
-        if (victim == table_.end() ||
-            cand->second.last_activity < victim->second.last_activity)
-          victim = cand;
-      }
-      if (victim == table_.end()) victim = table_.begin();
       ++stats_.flows_evicted_capacity;
       metrics.evicted_capacity.increment();
-      evict(victim->first, victim->second);
-      table_.erase(victim);
-      publish_size();
+      evict_for_capacity();
     }
-    FlowState state;
-    state.record.tuple = tuple;
-    state.record.initial_direction = dir;
-    state.record.first_ts = pkt.ts;
+    slot = table_.insert(hash);
+    FlowRecord& fresh = table_.record(slot);
+    fresh.tuple = tuple;
+    fresh.initial_direction = dir;
+    fresh.first_ts = pkt.ts;
     ++stats_.flows_created;
     metrics.created.increment();
-    it = table_.emplace(key, std::move(state)).first;
     publish_size();
   }
 
-  auto& rec = it->second.record;
+  auto& rec = table_.record(slot);
   rec.last_ts = pkt.ts;
-  it->second.last_activity = pkt.ts;
   ++rec.packets;
   rec.bytes += pkt.size();
   rec.payload_bytes += view.payload().size();
@@ -133,37 +229,52 @@ void FlowMeter::offer(const packet::Packet& pkt, const PacketView& view,
   if (rec.last_ts - rec.first_ts >= config_.active_timeout) {
     ++stats_.flows_evicted_active;
     metrics.evicted_active.increment();
-    evict(key, it->second);
-    table_.erase(it);
+    export_flow(slot);
+    table_.erase(slot);
     publish_size();
   }
 
   maybe_periodic_sweep(pkt.ts);
 }
 
-void FlowMeter::sweep(Timestamp now) {
-  for (auto it = table_.begin(); it != table_.end();) {
-    if (now - it->second.last_activity >= config_.idle_timeout) {
-      ++stats_.flows_evicted_idle;
-      FlowMetrics::get().evicted_idle.increment();
-      evict(it->first, it->second);
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
+void FlowMeter::evict_for_capacity() {
+  // Sampled eviction, as hardware NetFlow caches do: the idlest of a
+  // few slots at seeded positions. O(1) even under flood-driven churn,
+  // where a full scan would be quadratic. The table is full, and it
+  // never claims more than max_flows slots, so every slot is live.
+  const std::uint32_t slots = table_.slots();
+  std::uint32_t victim = capacity_sample(capacity_draws_++, slots);
+  for (std::uint64_t k = 1; k < kCapacitySamples; ++k) {
+    const std::uint32_t cand = capacity_sample(capacity_draws_++, slots);
+    if (table_.record(cand).last_ts < table_.record(victim).last_ts)
+      victim = cand;
   }
+  export_flow(victim);
+  table_.erase(victim);
+  publish_size();
+}
+
+void FlowMeter::sweep(Timestamp now) {
+  auto& evicted_idle = FlowMetrics::get().evicted_idle;
+  for (std::uint32_t slot = 0; slot < table_.slots(); ++slot) {
+    if (!table_.live(slot) ||
+        now - table_.record(slot).last_ts < config_.idle_timeout)
+      continue;
+    ++stats_.flows_evicted_idle;
+    evicted_idle.increment();
+    export_flow(slot);
+    table_.erase(slot);
+  }
+  table_.shrink();
   publish_size();
   last_sweep_ = now;
 }
 
 void FlowMeter::flush() {
-  for (auto& [key, state] : table_) evict(key, state);
+  for (std::uint32_t slot = 0; slot < table_.slots(); ++slot)
+    if (table_.live(slot)) export_flow(slot);
   table_.clear();
   publish_size();
-}
-
-void FlowMeter::evict(const packet::FiveTuple&, FlowState& state) {
-  if (sink_) sink_(state.record);
 }
 
 void FlowMeter::maybe_periodic_sweep(Timestamp now) {

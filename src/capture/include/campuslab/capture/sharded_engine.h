@@ -18,7 +18,7 @@
 // single-ring engine: one ring, one consumer, every frame in order.
 //
 //        tap (1 producer thread)
-//              |  shard_of(view) = h(bidirectional 5-tuple) % N
+//              |  shard_of(hash) = h(bidirectional 5-tuple) % N
 //      +-------+-------+ ... +
 //      v       v       v
 //   ring[0] ring[1] ring[N-1]      bounded SpscRings
@@ -216,11 +216,17 @@ class ShardedCaptureEngine {
 
   std::size_t shards() const noexcept { return shards_.size(); }
 
-  /// The RSS-style spreader. Symmetric: a packet and its reverse map
-  /// to the same shard. Frames without an IPv4 5-tuple (ARP, junk,
-  /// truncated) spread by a byte hash of the frame prefix instead of
-  /// all pinning shard 0, so non-IP load cannot hot-spot one worker.
-  std::size_t shard_of(const packet::PacketView& view) const noexcept;
+  /// The RSS-style spreader: shard `flow_hash % shards()`. Symmetric:
+  /// a packet and its reverse map to the same shard. Frames without an
+  /// IPv4 5-tuple (ARP, junk, truncated) spread by a byte hash of the
+  /// frame prefix instead of all pinning shard 0, so non-IP load cannot
+  /// hot-spot one worker (see capture::flow_hash).
+  std::size_t shard_of(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>(hash % shards_.size());
+  }
+  std::size_t shard_of(const packet::PacketView& view) const noexcept {
+    return shard_of(flow_hash(view));
+  }
 
   /// Producer side: hash-spread one frame. Returns false when the
   /// owning shard's ring was full and the frame was dropped (counted

@@ -1,12 +1,10 @@
 #include "campuslab/capture/sharded_engine.h"
 
-#include <algorithm>
 #include <exception>
 #include <string>
 
 #include "campuslab/obs/stage_timer.h"
 #include "campuslab/resilience/fault.h"
-#include "campuslab/util/hash.h"
 
 namespace campuslab::capture {
 namespace {
@@ -30,17 +28,6 @@ struct ShardedMetrics {
     return m;
   }
 };
-
-/// FNV-1a over the frame prefix + length: a cheap deterministic spread
-/// for frames that have no 5-tuple to hash. Uses the compat basis so
-/// shard placement is unchanged from before the hash dedup (pinned by
-/// ShardedCaptureEngine.SpreaderOutputPinned).
-std::uint64_t prefix_hash(std::span<const std::uint8_t> bytes) noexcept {
-  const std::size_t n = std::min<std::size_t>(bytes.size(), 32);
-  const std::uint64_t h =
-      util::fnv1a(bytes.first(n), util::kFnvCompatBasis);
-  return util::fnv1a_step(h, bytes.size());
-}
 
 }  // namespace
 
@@ -75,24 +62,6 @@ void ShardedCaptureEngine::add_sink_factory(const SinkFactory& factory) {
     shards_[i]->sinks.push_back(factory(i));
 }
 
-std::size_t ShardedCaptureEngine::shard_of(
-    const packet::PacketView& view) const noexcept {
-  if (shards_.size() == 1) return 0;
-  if (view.valid() && view.is_ipv4()) {
-    if (const auto tuple = view.five_tuple()) {
-      // Bidirectional key: both directions of a conversation must land
-      // on the same shard, or flow metering would split every
-      // conversation.
-      return static_cast<std::size_t>(tuple->bidirectional().hash()) %
-             shards_.size();
-    }
-  }
-  // No tuple to key on: spread by a byte hash so junk/non-IP bursts
-  // don't all pile onto one shard.
-  return static_cast<std::size_t>(prefix_hash(view.frame())) %
-         shards_.size();
-}
-
 bool ShardedCaptureEngine::offer(const packet::Packet& pkt,
                                  sim::Direction dir) {
   // Refcount bump, not a deep copy — dropped frames cost nothing extra.
@@ -101,14 +70,14 @@ bool ShardedCaptureEngine::offer(const packet::Packet& pkt,
 
 bool ShardedCaptureEngine::offer(packet::Packet&& pkt, sim::Direction dir) {
   auto& metrics = ShardedMetrics::get();
-  // Decode once at the tap; the same view picks the shard and rides the
-  // ring so no worker ever re-parses the frame.
+  // Decode and hash once at the tap; the hash picks the shard, and the
+  // view and hash ride the ring so no worker re-parses or re-hashes.
   DecodedPacket decoded;
   {
     obs::StageTimer timer(metrics.decode_ns);
     decoded = DecodedPacket(std::move(pkt), dir);
   }
-  std::size_t idx = shard_of(decoded.view);
+  std::size_t idx = shard_of(decoded.hash);
   if (shards_[idx]->quarantined.load(std::memory_order_acquire)) {
     // Deterministic reroute walk: the slice of a quarantined shard goes
     // to the next live shard, so the mapping stays a pure function of

@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 #include "campuslab/packet/checksum.h"
 
@@ -75,6 +76,12 @@ PacketBuilder& PacketBuilder::icmp(const Endpoint& src, const Endpoint& dst,
 
 PacketBuilder& PacketBuilder::payload(std::span<const std::uint8_t> data) {
   payload_.assign(data.begin(), data.end());
+  filler_ = 0;
+  return *this;
+}
+
+PacketBuilder& PacketBuilder::payload(std::vector<std::uint8_t>&& data) {
+  payload_ = std::move(data);
   filler_ = 0;
   return *this;
 }
@@ -204,8 +211,11 @@ Packet PacketBuilder::build() const {
 Packet build_dns_packet(Timestamp ts, const Endpoint& src,
                         const Endpoint& dst, const DnsMessage& msg,
                         TrafficLabel label) {
-  const auto body = msg.serialize();
-  return PacketBuilder(ts).udp(src, dst).payload(body).label(label).build();
+  return PacketBuilder(ts)
+      .udp(src, dst)
+      .payload(msg.serialize())
+      .label(label)
+      .build();
 }
 
 }  // namespace campuslab::packet

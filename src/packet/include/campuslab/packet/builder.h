@@ -52,6 +52,8 @@ class PacketBuilder {
   /// Attach explicit payload bytes (copied). Replaces any earlier
   /// payload()/payload_size(): the last call wins.
   PacketBuilder& payload(std::span<const std::uint8_t> data);
+  /// The same, taking the bytes without a copy.
+  PacketBuilder& payload(std::vector<std::uint8_t>&& data);
   /// Attach `n` deterministic filler bytes (for size-accurate traffic):
   /// byte i is `0xA5 ^ (i & 0xFF)`. Records only the length; build()
   /// writes the bytes. Replaces any earlier payload(): the last call wins.

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "campuslab/packet/addr.h"
 #include "campuslab/packet/builder.h"
@@ -751,8 +752,11 @@ TEST(Builder, MatchesReferenceEncoderOnGeneratedFrames) {
         f.payload[i] = static_cast<std::uint8_t>(0xA5 ^ (i & 0xFF));
     } else {
       b.payload_size(filler);
-      b.payload(explicit_bytes);
       f.payload = explicit_bytes;
+      if (cases % 2 == 0)
+        b.payload(explicit_bytes);
+      else
+        b.payload(std::move(explicit_bytes));  // taken, not copied
     }
     const auto pkt = b.build();
     const auto want = reference_frame(f);

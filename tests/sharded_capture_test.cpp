@@ -5,12 +5,14 @@
 // shard -> FlowMeter -> ShardedFlowIngester -> DataStore path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "campuslab/capture/sharded_engine.h"
+#include "campuslab/obs/registry.h"
 #include "campuslab/packet/builder.h"
 #include "campuslab/store/shard.h"
 #include "campuslab/store/sharded_ingest.h"
@@ -278,6 +280,59 @@ TEST(ShardedCapturePipeline, FlowsReachStoreDeterministically) {
   // matter how the workers were scheduled.
   EXPECT_EQ(first, second);
   EXPECT_GT(first.size(), 40u);
+}
+
+// The live table-size gauge: flow.table_size{shard=N} reads each shard
+// meter's relaxed approx_active_flows() mirror, so the test thread can
+// sample it while the workers meter (the TSAN job runs this test).
+TEST(ShardedCapturePipeline, TableSizeGaugeSampledWhileWorkersMeter) {
+  const auto traffic = make_traffic(40'000, 4096, 0x7AB1E);
+  ShardedCaptureConfig cfg;
+  cfg.shards = 4;
+  cfg.ring_capacity = 1 << 12;
+  ShardedCaptureEngine engine(cfg);
+  store::ShardedFlowIngester ingester(cfg.shards);
+  engine.add_sink_factory([&](std::size_t s) {
+    return [&ingester, s](const DecodedPacket& t) {
+      ingester.meter(s).offer(t);
+    };
+  });
+  auto table_size = [](const obs::RegistrySnapshot& snap, std::size_t s) {
+    return snap.value_or("flow.table_size", "shard=" + std::to_string(s),
+                         -1.0);
+  };
+
+  engine.start();
+  double largest = 0;
+  for (std::size_t i = 0; i < traffic.size(); ++i) {
+    while (!engine.offer(traffic[i], Direction::kInbound))
+      std::this_thread::yield();
+    if (i % 512 != 0) continue;
+    const auto snap = obs::Registry::global().snapshot();
+    for (std::size_t s = 0; s < cfg.shards; ++s) {
+      const double size = table_size(snap, s);
+      EXPECT_GE(size, 0.0) << "shard " << s;
+      EXPECT_LE(size, static_cast<double>(i + 1)) << "shard " << s;
+      largest = std::max(largest, size);
+    }
+  }
+  engine.stop();
+  EXPECT_GT(largest, 0.0);
+
+  // Quiesced, the mirror is exact; flushed, every table is empty.
+  auto snap = obs::Registry::global().snapshot();
+  std::size_t live = 0;
+  for (std::size_t s = 0; s < cfg.shards; ++s) {
+    EXPECT_EQ(table_size(snap, s),
+              static_cast<double>(ingester.meter(s).active_flows()));
+    live += ingester.meter(s).active_flows();
+  }
+  EXPECT_GT(live, 1'000u);
+  ingester.flush();
+  snap = obs::Registry::global().snapshot();
+  for (std::size_t s = 0; s < cfg.shards; ++s)
+    EXPECT_EQ(table_size(snap, s), 0.0);
+  EXPECT_EQ(ingester.take().size(), ingester.meter_stats().flows_created);
 }
 
 }  // namespace
