@@ -1,10 +1,11 @@
 // Scenario DSL suite: the ref-qualified builder, the composition
 // algebra (then / alongside / triggered), intensity envelopes, strict
 // victim-set resolution, per-frame label + scenario-id stamping,
-// per-scenario delivery accounting, seed determinism, and the legacy
-// pins — the six frame-stream hashes recorded from the retired
-// per-attack classes, which the equivalent Scenario::attack(...) chains
-// must reproduce byte-identically.
+// per-scenario delivery accounting, seed determinism, the legacy pins —
+// the six frame-stream hashes recorded from the retired per-attack
+// classes, which the equivalent Scenario::attack(...) chains must
+// reproduce byte-identically — and the stream pins, which hold the
+// worm, exfiltration, shaped envelopes and long benign runs still.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -606,6 +607,46 @@ TEST(LegacyPins, CombinedArmingOrderIsByteIdentical) {
   s.scenarios.push_back(flash_crowd(350, 4, 3, /*client_index=*/2,
                                     /*payload_bytes=*/1200, /*sources=*/40));
   expect_pin("combined", s, 9, 12261, 0xd3d632ca0a947d69ULL);
+}
+
+// ---------------------------------------------------------- stream pins
+
+// Frame-stream hashes of what the legacy pins leave out: the worm,
+// exfiltration, non-constant envelopes and benign sessions that run
+// past 10 s. Recorded from the simulator before its recurring processes
+// moved onto EventQueue::loop; a mismatch means the emitted traffic, or
+// the order of its events, changed.
+ScenarioConfig all_kinds_config() {
+  ScenarioConfig s;
+  s.campus.seed = 77;
+  for (std::size_t k = 0; k < kBehaviorKindCount; ++k) {
+    const auto rate = k % 3 == 0   ? IntensityEnvelope::ramp(50, 400)
+                      : k % 3 == 1 ? IntensityEnvelope::square_wave(
+                                         300, Duration::seconds(3), 0.3)
+                                   : IntensityEnvelope::diurnal(200);
+    s.scenarios.push_back(
+        Scenario::attack(static_cast<BehaviorKind>(k))
+            .intensity(rate)
+            .starting_at(Timestamp::from_seconds(1.0 + static_cast<double>(k)))
+            .lasting(Duration::seconds(20)));
+  }
+  return s;
+}
+
+TEST(StreamPins, ComposedScenarioIsByteIdentical) {
+  expect_pin("composed", composed_config(31), 14, 22213,
+             0x4f268817914cf331ULL);
+}
+
+TEST(StreamPins, AllKindsUnderShapedEnvelopesAreByteIdentical) {
+  expect_pin("all_kinds", all_kinds_config(), 30, 108763,
+             0x2c4a768516032f92ULL);
+}
+
+TEST(StreamPins, LongBenignCampusIsByteIdentical) {
+  ScenarioConfig s;
+  s.campus.seed = 5;
+  expect_pin("benign", s, 120, 194898, 0xe03b2f4722d312f1ULL);
 }
 
 }  // namespace
