@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -18,6 +19,14 @@ namespace campuslab::sim {
 class EventQueue {
  public:
   using Handler = std::function<void()>;
+  /// One step of a recurring process: does its work at now() and
+  /// returns when it runs next, or nullopt when the process ends.
+  using Step = std::function<std::optional<Timestamp>()>;
+
+  EventQueue() = default;
+  // Loop events hold the queue's address.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   Timestamp now() const noexcept { return now_; }
 
@@ -30,6 +39,15 @@ class EventQueue {
   void schedule_in(Duration delay, Handler fn) {
     schedule_at(now_ + delay, std::move(fn));
   }
+
+  /// Run a recurring process: `step` runs at `first`, then at each time
+  /// it returns, until it returns nullopt. The queue keeps the step, and
+  /// whatever state it captures by value, in a slot table until then;
+  /// each queued event holds only the queue and the slot. The successor
+  /// is scheduled as the step returns, so it queues after every event
+  /// the step scheduled itself — the order of a chain that re-schedules
+  /// itself last.
+  void loop(Timestamp first, Step step);
 
   /// Pop and run the earliest event. Returns false when empty.
   bool run_one();
@@ -57,9 +75,13 @@ class EventQueue {
     }
   };
 
+  void run_step(std::uint32_t slot);
+
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   Timestamp now_{};
   std::uint64_t next_seq_ = 0;
+  std::vector<Step> steps_;               // live loops' steps, by slot
+  std::vector<std::uint32_t> free_steps_;  // slots of ended loops
 };
 
 }  // namespace campuslab::sim

@@ -22,7 +22,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "campuslab/sim/campus.h"
@@ -55,8 +54,8 @@ struct TrafficStats {
 
 class TrafficGenerator {
  public:
-  /// The generator must outlive the event queue run; it schedules
-  /// self-renewing arrival events that capture `this`.
+  /// The generator must outlive the event queue run; its arrival and
+  /// session loops capture `this`.
   TrafficGenerator(CampusNetwork& net, AppRates rates, std::uint64_t seed);
 
   /// Arm the arrival processes. Call once, before running the queue.

@@ -10,8 +10,8 @@
 // against hashes recorded from the pre-refactor binaries.
 #include <algorithm>
 #include <array>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,72 +35,50 @@ Error bad_shape(std::string why) {
   return Error::make("scenario_bad_shape", std::move(why));
 }
 
-/// Window + envelope validation shared by every emitter.
-Status preflight(const AttackPhase& phase) {
-  if (phase.duration <= Duration{}) {
-    return Error::make("scenario_empty_window",
-                       "phase '" + phase.name + "' has an empty window");
-  }
-  return phase.intensity.validate();
-}
-
-/// Resolve the phase's victim set with a seed-derived rng (so pick()
-/// replays). Selectors without pick() consume no randomness.
-Result<std::vector<Host>> resolve_victims(const AttackPhase& phase,
-                                          const CampusNetwork& net,
-                                          std::uint64_t seed) {
-  Rng rng(seed ^ 0x51C7);
-  return phase.victim_set.resolve(net.topology(), rng);
+/// Exponential gaps: a Poisson process at the envelope's current rate.
+Duration poisson_gap(Rng& rng, double rate) {
+  return Duration::from_seconds(rng.exponential(1.0 / rate));
 }
 
 /// Drive an emission loop under the phase's intensity envelope.
-/// `emit_one` is called once per packet slot. For a constant envelope
-/// this draws exactly like the legacy loop (emit, then one exponential
-/// gap), which the byte-identity pins depend on.
+/// `emit_one` is called once per packet slot, then `gap(rng, rate)`
+/// draws the wait until the next. For a constant envelope and Poisson
+/// gaps this draws exactly like the legacy loop (emit, then one
+/// exponential gap), which the byte-identity pins depend on.
+template <typename Emit, typename Gap = Duration (*)(Rng&, double)>
 void drive(CampusNetwork& net, const AttackPhase& phase, std::uint64_t seed,
-           std::function<void(Rng&)> emit_one) {
-  struct LoopState {
-    Rng rng;
-    Timestamp start;
-    Timestamp end;
-    Duration window;
-    IntensityEnvelope env;
-    std::function<void(Rng&)> emit;
-  };
-  auto st = std::make_shared<LoopState>(
-      LoopState{Rng(seed), phase.start, phase.start + phase.duration,
-                phase.duration, phase.intensity, std::move(emit_one)});
-  // Self-passing continuation: every queued event owns a copy of the
-  // closure (which owns `st`), so once the loop window ends — or the
-  // event queue is destroyed — the last copy releases the state. A
-  // shared_ptr<function> whose body recaptures that same shared_ptr
-  // would form a permanent cycle and leak (it used to).
-  auto step = [&net, st](auto self) -> void {
-    const Timestamp now = net.events().now();
-    if (now > st->end) return;
-    const double r = st->env.rate_at(now, st->start, st->window, net.config());
-    if (r > 0.0) {
-      st->emit(st->rng);
-      net.events().schedule_in(
-          Duration::from_seconds(st->rng.exponential(1.0 / r)),
-          [self] { self(self); });
-      return;
-    }
-    // Off-phase of a burst envelope: jump to the next active edge.
-    const auto next = st->env.next_active(now - st->start);
-    if (!next) return;
-    Timestamp at = st->start + *next;
-    if (at <= now) at = now + Duration::millis(1);  // never same-time spin
-    if (at > st->end) return;
-    net.events().schedule_at(at, [self] { self(self); });
-  };
-  net.events().schedule_at(phase.start, [step] { step(step); });
+           Emit emit_one, Gap gap = &poisson_gap) {
+  const Timestamp start = phase.start;
+  net.events().loop(
+      start, [&net, rng = Rng(seed), start, end = phase.start + phase.duration,
+              window = phase.duration, env = phase.intensity,
+              emit_one = std::move(emit_one),
+              gap]() mutable -> std::optional<Timestamp> {
+        const Timestamp now = net.events().now();
+        if (now > end) return std::nullopt;
+        const double r = env.rate_at(now, start, window, net.config());
+        if (r > 0.0) {
+          emit_one(rng);
+          return now + gap(rng, r);
+        }
+        // Off-phase of a burst envelope: jump to the next active edge.
+        const auto next = env.next_active(now - start);
+        if (!next) return std::nullopt;
+        Timestamp at = start + *next;
+        if (at <= now) at = now + Duration::millis(1);  // never same-time spin
+        if (at > end) return std::nullopt;
+        return at;
+      });
 }
 
-/// Shared skeleton: phase storage, counters, spec-derived label.
-class EmitterBase : public Emitter {
+/// Shared skeleton: phase storage, counters, spec-derived label, and
+/// start()'s checks in one order — the shape's kind, the window, the
+/// envelope, the shape's own limits (validate()), then the victims. Once
+/// all pass, run() arms the emission.
+template <typename Shape>
+class ShapedEmitter : public Emitter {
  public:
-  explicit EmitterBase(AttackPhase phase) : phase_(std::move(phase)) {}
+  explicit ShapedEmitter(AttackPhase phase) : phase_(std::move(phase)) {}
 
   std::uint64_t packets_emitted() const noexcept override { return emitted_; }
   BehaviorKind kind() const noexcept override { return phase_.kind; }
@@ -108,42 +86,66 @@ class EmitterBase : public Emitter {
     return scenario_spec(phase_.kind).label;
   }
 
+  Status start(CampusNetwork& net, const EmitContext& ctx) final {
+    const auto* shape = std::get_if<Shape>(&phase_.shape);
+    if (shape == nullptr) {
+      return Error::make("scenario_shape_mismatch",
+                         "phase '" + phase_.name +
+                             "' carries a shape for a different kind than " +
+                             std::string(to_string(phase_.kind)));
+    }
+    shape_ = *shape;
+    if (phase_.duration <= Duration{}) {
+      return Error::make("scenario_empty_window",
+                         "phase '" + phase_.name + "' has an empty window");
+    }
+    if (auto s = phase_.intensity.validate(); !s.ok()) return s;
+    if (auto s = validate(); !s.ok()) return s;
+    // A seed-derived rng, so pick() replays. Selectors without pick()
+    // consume no randomness.
+    Rng rng(ctx.seed ^ 0x51C7);
+    auto victims = phase_.victim_set.resolve(net.topology(), rng);
+    if (!victims.ok()) return victims.error();
+    victims_ = std::move(victims).value();
+    run(net, ctx);
+    return Status::success();
+  }
+
  protected:
-  /// The phase's shape, or scenario_shape_mismatch when with() supplied
-  /// a shape for a different behavior kind.
-  template <typename Shape>
-  Result<Shape> shape() const {
-    if (const auto* s = std::get_if<Shape>(&phase_.shape)) return *s;
-    return Error::make("scenario_shape_mismatch",
-                       "phase '" + phase_.name +
-                           "' carries a shape for a different kind than " +
-                           std::string(to_string(phase_.kind)));
+  /// The shape's own limits; the default has none.
+  virtual Status validate() const { return Status::success(); }
+  /// Arm the emission. Called once, after every check passed.
+  virtual void run(CampusNetwork& net, const EmitContext& ctx) = 0;
+
+  /// A uniformly drawn victim; a single victim draws nothing.
+  const Host& pick_victim(Rng& rng) const {
+    return victims_.size() == 1 ? victims_[0]
+                                : victims_[rng.below(victims_.size())];
   }
 
   AttackPhase phase_;
+  Shape shape_{};
+  std::vector<Host> victims_;
   std::uint64_t emitted_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 
-class DnsAmplificationEmitter final : public EmitterBase {
+class DnsAmplificationEmitter final
+    : public ShapedEmitter<DnsAmplificationShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<DnsAmplificationShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    const DnsAmplificationShape sh = shape_r.value();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    if (sh.reflectors < 1) return bad_shape("reflector pool must be >= 1");
-    if (sh.payload_spread < 0.0 || sh.payload_spread >= 1.0) {
+ private:
+  Status validate() const override {
+    if (shape_.reflectors < 1) return bad_shape("reflector pool must be >= 1");
+    if (shape_.payload_spread < 0.0 || shape_.payload_spread >= 1.0) {
       return bad_shape("payload_spread must be in [0, 1)");
     }
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
-    auto victims =
-        std::make_shared<std::vector<Host>>(std::move(victims_r).value());
+    return Status::success();
+  }
 
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
     // Pre-serialize a small family of response bodies around the target
     // size (real reflectors answer with whatever records they hold, so
     // sizes jitter); per packet we vary the body, the DNS id, and the
@@ -151,39 +153,37 @@ class DnsAmplificationEmitter final : public EmitterBase {
     const auto query =
         packet::make_dns_query(0, "amp.reflector.example", DnsType::kAny);
     std::vector<double> scales;
-    if (sh.payload_spread > 0.0) {
+    if (shape_.payload_spread > 0.0) {
       for (int i = 0; i < 5; ++i) {
-        scales.push_back(1.0 - sh.payload_spread +
-                         (2.0 * sh.payload_spread * i) / 4.0);
+        scales.push_back(1.0 - shape_.payload_spread +
+                         (2.0 * shape_.payload_spread * i) / 4.0);
       }
     } else {
       scales = {0.55, 0.75, 1.0, 1.2, 1.45};  // the legacy family
     }
-    auto bodies = std::make_shared<std::vector<std::vector<std::uint8_t>>>();
+    std::vector<std::vector<std::uint8_t>> bodies;
     for (const double scale : scales) {
       const auto bytes = std::max<std::size_t>(
-          static_cast<std::size_t>(static_cast<double>(sh.response_bytes) *
+          static_cast<std::size_t>(static_cast<double>(shape_.response_bytes) *
                                    scale),
           80);
-      bodies->push_back(packet::make_dns_response(query, 6, bytes).serialize());
+      bodies.push_back(packet::make_dns_response(query, 6, bytes).serialize());
     }
 
-    const Timestamp start = phase_.start;
-    const std::uint32_t sid = ctx.scenario_id;
     drive(net, phase_, ctx.seed ^ 0xD45,
-          [this, &net, sh, victims, bodies, start, sid](Rng& rng) {
+          [this, &net, bodies = std::move(bodies),
+           sid = ctx.scenario_id](Rng& rng) mutable {
             // Churn slides the reflector pool window forward over time;
             // a static pool (churn 0, the legacy shape) keeps offset 0.
-            const double elapsed = (net.events().now() - start).to_seconds();
+            const double elapsed =
+                (net.events().now() - phase_.start).to_seconds();
             const auto pool_offset = static_cast<std::uint32_t>(
-                std::max(0.0, sh.reflector_churn_per_s * elapsed));
+                std::max(0.0, shape_.reflector_churn_per_s * elapsed));
             const auto reflector_index =
                 pool_offset +
                 static_cast<std::uint32_t>(
-                    rng.below(static_cast<std::uint64_t>(sh.reflectors)));
-            const Host& victim_host =
-                victims->size() == 1 ? (*victims)[0]
-                                     : (*victims)[rng.below(victims->size())];
+                    rng.below(static_cast<std::uint64_t>(shape_.reflectors)));
+            const Host& victim_host = pick_victim(rng);
             Endpoint reflector{
                 MacAddress::from_id(0x00A00000u | reflector_index),
                 Topology::external_host(2, reflector_index, 53).ip, 53};
@@ -191,7 +191,7 @@ class DnsAmplificationEmitter final : public EmitterBase {
                             victim_host.endpoint.ip,
                             static_cast<std::uint16_t>(1024 +
                                                        rng.below(60000))};
-            auto& body = (*bodies)[rng.below(bodies->size())];
+            auto& body = bodies[rng.below(bodies.size())];
             body[0] = static_cast<std::uint8_t>(rng.below(256));
             body[1] = static_cast<std::uint8_t>(rng.below(256));
             auto pkt = PacketBuilder(net.events().now())
@@ -203,40 +203,31 @@ class DnsAmplificationEmitter final : public EmitterBase {
             ++emitted_;
             net.inject(Direction::kInbound, std::move(pkt));
           });
-    return Status::success();
   }
 };
 
 // ---------------------------------------------------------------------------
 
-class SynFloodEmitter final : public EmitterBase {
+class SynFloodEmitter final : public ShapedEmitter<SynFloodShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<SynFloodShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    const SynFloodShape sh = shape_r.value();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    if (sh.spoof_pool < 0) return bad_shape("spoof_pool must be >= 0");
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
-    auto victims =
-        std::make_shared<std::vector<Host>>(std::move(victims_r).value());
+ private:
+  Status validate() const override {
+    if (shape_.spoof_pool < 0) return bad_shape("spoof_pool must be >= 0");
+    return Status::success();
+  }
 
-    const std::uint32_t sid = ctx.scenario_id;
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
     drive(net, phase_, ctx.seed ^ 0x5F1,
-          [this, &net, sh, victims, sid](Rng& rng) {
-            const Host& victim_host =
-                victims->size() == 1 ? (*victims)[0]
-                                     : (*victims)[rng.below(victims->size())];
-            Endpoint victim = victim_host.endpoint;
-            victim.port = sh.target_port;
+          [this, &net, sid = ctx.scenario_id](Rng& rng) {
+            Endpoint victim = pick_victim(rng).endpoint;
+            victim.port = shape_.target_port;
             Endpoint spoofed;
-            if (sh.spoof_pool > 0) {
+            if (shape_.spoof_pool > 0) {
               // Botnet shape: a fixed pool of real (non-spoofed) sources.
               const auto bot = static_cast<std::uint32_t>(
-                  rng.below(static_cast<std::uint64_t>(sh.spoof_pool)));
+                  rng.below(static_cast<std::uint64_t>(shape_.spoof_pool)));
               spoofed = Endpoint{
                   MacAddress::from_id(0x00B00000u | bot),
                   Topology::external_host(4, bot, 0).ip,
@@ -259,30 +250,27 @@ class SynFloodEmitter final : public EmitterBase {
             ++emitted_;
             net.inject(Direction::kInbound, std::move(pkt));
           });
-    return Status::success();
   }
 };
 
 // ---------------------------------------------------------------------------
 
-class PortScanEmitter final : public EmitterBase {
+class PortScanEmitter final : public ShapedEmitter<PortScanShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<PortScanShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    const PortScanShape sh = shape_r.value();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    if (sh.ports_per_host < 1) return bad_shape("ports_per_host must be >= 1");
-    if (sh.responder_fraction < 0.0 || sh.responder_fraction > 1.0) {
+ private:
+  Status validate() const override {
+    if (shape_.ports_per_host < 1) {
+      return bad_shape("ports_per_host must be >= 1");
+    }
+    if (shape_.responder_fraction < 0.0 || shape_.responder_fraction > 1.0) {
       return bad_shape("responder_fraction must be in [0, 1]");
     }
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
-    auto victims =
-        std::make_shared<std::vector<Host>>(std::move(victims_r).value());
+    return Status::success();
+  }
 
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
     // One persistent scanner walking the selected address space.
     Rng addr_rng(ctx.seed ^ 0x9C4);
     const Endpoint scanner{MacAddress::from_id(0x00C00001u),
@@ -290,49 +278,41 @@ class PortScanEmitter final : public EmitterBase {
     static constexpr std::uint16_t kPorts[] = {21,  22,   23,   25,   80,
                                                110, 139,  143,  443,  445,
                                                3306, 3389, 5432, 8080};
-    constexpr int kPortCount =
-        static_cast<int>(sizeof kPorts / sizeof kPorts[0]);
-    const int ports_per_host = std::min(sh.ports_per_host, kPortCount);
-    auto cursor = std::make_shared<std::uint64_t>(0);
+    constexpr auto kPortCount =
+        static_cast<std::uint64_t>(sizeof kPorts / sizeof kPorts[0]);
+    const auto ports_per_host = std::min(
+        static_cast<std::uint64_t>(shape_.ports_per_host), kPortCount);
 
-    const std::uint32_t sid = ctx.scenario_id;
     drive(net, phase_, ctx.seed ^ 0x9C5,
-          [this, &net, sh, victims, scanner, cursor, ports_per_host, sid,
-           kPortCount](Rng& rng) {
-            const std::size_t n = victims->size();
+          [this, &net, scanner, ports_per_host, cursor = std::uint64_t{0},
+           sid = ctx.scenario_id](Rng& rng) mutable {
+            const std::size_t n = victims_.size();
             const Host* target = nullptr;
             std::uint16_t port = 0;
             auto probe_flags = static_cast<std::uint8_t>(TcpFlags::kSyn);
             bool may_answer = true;
-            switch (sh.style) {
-              case ScanStyle::kSweep: {
+            switch (shape_.style) {
+              case ScanStyle::kSweep:
                 // Host-major walk: the legacy shape.
-                const std::uint64_t host_idx =
-                    (*cursor / static_cast<std::uint64_t>(ports_per_host)) % n;
-                port = kPorts[*cursor %
-                              static_cast<std::uint64_t>(ports_per_host)];
-                ++*cursor;
-                target = &(*victims)[host_idx];
+                target = &victims_[(cursor / ports_per_host) % n];
+                port = kPorts[cursor % ports_per_host];
+                ++cursor;
                 break;
-              }
               case ScanStyle::kHorizontal:
-                target = &(*victims)[*cursor % n];
-                port = sh.horizontal_port;
-                ++*cursor;
+                target = &victims_[cursor % n];
+                port = shape_.horizontal_port;
+                ++cursor;
                 break;
               case ScanStyle::kVertical:
                 // Exhaust the whole port table per host before moving on.
-                target = &(*victims)[(*cursor /
-                                      static_cast<std::uint64_t>(kPortCount)) %
-                                     n];
-                port = kPorts[*cursor % static_cast<std::uint64_t>(kPortCount)];
-                ++*cursor;
+                target = &victims_[(cursor / kPortCount) % n];
+                port = kPorts[cursor % kPortCount];
+                ++cursor;
                 break;
               case ScanStyle::kStealth:
                 // Randomized order, FIN probes, nothing answers.
-                target = &(*victims)[rng.below(n)];
-                port = kPorts[rng.below(
-                    static_cast<std::uint64_t>(kPortCount))];
+                target = &victims_[rng.below(n)];
+                port = kPorts[rng.below(kPortCount)];
                 probe_flags = static_cast<std::uint8_t>(TcpFlags::kFin);
                 may_answer = false;
                 break;
@@ -352,7 +332,7 @@ class PortScanEmitter final : public EmitterBase {
             // A fraction of probes hit something that answers; the campus
             // response (RST or SYN-ACK) heads outbound, labelled benign —
             // it is the victim's traffic, not the attacker's.
-            if (may_answer && rng.chance(sh.responder_fraction)) {
+            if (may_answer && rng.chance(shape_.responder_fraction)) {
               auto resp = PacketBuilder(net.events().now())
                               .tcp(dst, src,
                                    rng.chance(0.3)
@@ -366,38 +346,26 @@ class PortScanEmitter final : public EmitterBase {
               net.inject(Direction::kOutbound, std::move(resp));
             }
           });
-    return Status::success();
   }
 };
 
 // ---------------------------------------------------------------------------
 
-class SshBruteForceEmitter final : public EmitterBase {
+class SshBruteForceEmitter final : public ShapedEmitter<SshBruteForceShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<SshBruteForceShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
-    auto victims =
-        std::make_shared<std::vector<Host>>(std::move(victims_r).value());
-
+ private:
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
     Rng addr_rng(ctx.seed ^ 0xB4F);
     const Ipv4Address attacker_ip =
         Topology::random_external_address(addr_rng);
 
-    const std::uint32_t sid = ctx.scenario_id;
     drive(net, phase_, ctx.seed ^ 0xB50,
-          [this, &net, victims, attacker_ip, sid](Rng& rng) {
+          [this, &net, attacker_ip, sid = ctx.scenario_id](Rng& rng) {
             // One login attempt: SYN, SYN-ACK, ACK, a couple of small auth
             // exchanges, then RST from the server (failed password).
-            const Host& gw_host =
-                victims->size() == 1 ? (*victims)[0]
-                                     : (*victims)[rng.below(victims->size())];
-            Endpoint gateway = gw_host.endpoint;
+            Endpoint gateway = pick_victim(rng).endpoint;
             gateway.port = 22;
             Endpoint attacker{MacAddress::from_id(0x00D00001u), attacker_ip,
                               static_cast<std::uint16_t>(1024 +
@@ -445,47 +413,38 @@ class SshBruteForceEmitter final : public EmitterBase {
                            .scenario(sid)
                            .build());
           });
-    return Status::success();
   }
 };
 
 // ---------------------------------------------------------------------------
 
-class FlashCrowdEmitter final : public EmitterBase {
+class FlashCrowdEmitter final : public ShapedEmitter<FlashCrowdShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<FlashCrowdShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    const FlashCrowdShape sh = shape_r.value();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    if (sh.sources < 1) return bad_shape("flash crowd needs >= 1 source");
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
-    auto victims =
-        std::make_shared<std::vector<Host>>(std::move(victims_r).value());
+ private:
+  Status validate() const override {
+    if (shape_.sources < 1) return bad_shape("flash crowd needs >= 1 source");
+    return Status::success();
+  }
 
-    const std::uint32_t sid = ctx.scenario_id;
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
     drive(net, phase_, ctx.seed ^ 0xF1A5,
-          [this, &net, sh, victims, sid](Rng& rng) {
-            const Host& receiver_host =
-                victims->size() == 1 ? (*victims)[0]
-                                     : (*victims)[rng.below(victims->size())];
+          [this, &net, sid = ctx.scenario_id](Rng& rng) {
+            const Host& receiver_host = pick_victim(rng);
             const auto edge = static_cast<std::uint32_t>(
-                rng.below(static_cast<std::uint64_t>(sh.sources)));
+                rng.below(static_cast<std::uint64_t>(shape_.sources)));
             Endpoint src = Topology::external_host(1, edge, 443);
             Endpoint dst = receiver_host.endpoint;
             dst.port = static_cast<std::uint16_t>(40000 + edge);
             auto pkt = PacketBuilder(net.events().now())
                            .udp(src, dst)
-                           .payload_size(sh.payload_bytes)
+                           .payload_size(shape_.payload_bytes)
                            .scenario(sid)
                            .build();  // label stays kBenign
             ++emitted_;
             net.inject(Direction::kInbound, std::move(pkt));
           });
-    return Status::success();
   }
 };
 
@@ -494,53 +453,55 @@ class FlashCrowdEmitter final : public EmitterBase {
 /// Per-host infection status for the worm state machine.
 enum class WormStatus : std::uint8_t { kSusceptible, kIncubating, kSpreading };
 
-class WormEmitter final : public EmitterBase {
+/// The susceptible surface is the victim set; the outbreak's state lives
+/// in members parallel to it.
+class WormEmitter final : public ShapedEmitter<WormShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<WormShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    const WormShape sh = shape_r.value();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    if (sh.initial_bots < 1) return bad_shape("worm needs >= 1 initial bot");
-    if (sh.infect_probability < 0.0 || sh.infect_probability > 1.0) {
+  std::span<const WormInfection> infections() const noexcept override {
+    return infections_;
+  }
+
+ private:
+  Status validate() const override {
+    if (shape_.initial_bots < 1) {
+      return bad_shape("worm needs >= 1 initial bot");
+    }
+    if (shape_.infect_probability < 0.0 || shape_.infect_probability > 1.0) {
       return bad_shape("infect_probability must be in [0, 1]");
     }
-    if (sh.external_hit_fraction < 0.0 || sh.external_hit_fraction > 1.0) {
+    if (shape_.external_hit_fraction < 0.0 ||
+        shape_.external_hit_fraction > 1.0) {
       return bad_shape("external_hit_fraction must be in [0, 1]");
     }
-    if (sh.incubation < Duration{}) {
+    if (shape_.incubation < Duration{}) {
       return bad_shape("incubation must be >= 0");
     }
-    if (sh.max_external_bots < sh.initial_bots) {
+    if (shape_.max_external_bots < shape_.initial_bots) {
       return bad_shape("max_external_bots must cover initial_bots");
     }
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
+    return Status::success();
+  }
 
-    auto st = std::make_shared<State>();
-    st->universe = std::move(victims_r).value();
-    st->status.assign(st->universe.size(), WormStatus::kSusceptible);
-    st->external_bots = sh.initial_bots;
-    st_ = st;
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
+    status_.assign(victims_.size(), WormStatus::kSusceptible);
+    external_bots_ = shape_.initial_bots;
 
-    const std::uint32_t sid = ctx.scenario_id;
     drive(net, phase_, ctx.seed ^ 0x3B9A,
-          [this, &net, sh, st, sid](Rng& rng) {
+          [this, &net, sid = ctx.scenario_id](Rng& rng) {
             // Pick a scanning source across the whole infected
             // population: external bots first, then spreading hosts.
             const std::size_t n_sources =
-                static_cast<std::size_t>(st->external_bots) +
-                st->spreading.size();
+                static_cast<std::size_t>(external_bots_) + spreading_.size();
             const std::size_t src_idx =
                 n_sources == 1 ? 0 : rng.below(n_sources);
             const Timestamp now = net.events().now();
-            if (src_idx < static_cast<std::size_t>(st->external_bots)) {
+            if (src_idx < static_cast<std::size_t>(external_bots_)) {
               // Inbound scan from an external bot, possibly exploiting a
               // susceptible campus host.
-              const std::size_t tgt = rng.below(st->universe.size());
-              const Host& target = st->universe[tgt];
+              const std::size_t tgt = rng.below(victims_.size());
+              const Host& target = victims_[tgt];
               Endpoint bot{MacAddress::from_id(
                                0x00E10000u |
                                static_cast<std::uint32_t>(src_idx)),
@@ -550,7 +511,7 @@ class WormEmitter final : public EmitterBase {
                            static_cast<std::uint16_t>(1024 +
                                                       rng.below(60000))};
               Endpoint dst = target.endpoint;
-              dst.port = sh.service_port;
+              dst.port = shape_.service_port;
               auto probe = PacketBuilder(now)
                                .tcp(bot, dst, TcpFlags::kSyn,
                                     static_cast<std::uint32_t>(rng.next()))
@@ -559,18 +520,17 @@ class WormEmitter final : public EmitterBase {
                                .build();
               ++emitted_;
               net.inject(Direction::kInbound, std::move(probe));
-              maybe_infect(net, rng, st, sh, sid, tgt, bot, /*source_id=*/0);
+              maybe_infect(net, rng, sid, tgt, bot, /*source_id=*/0);
             } else {
               const Host& src_host =
-                  st->universe[st->spreading[src_idx - static_cast<std::size_t>(
-                                                           st->external_bots)]];
+                  victims_[spreading_[src_idx - static_cast<std::size_t>(
+                                                    external_bots_)]];
               if (rng.chance(0.5)) {
                 // Lateral spread inside the campus: never crosses the
                 // border (no frame for the tap), but the state machine
                 // advances and the infection chain records the hop.
-                const std::size_t tgt = rng.below(st->universe.size());
-                maybe_infect(net, rng, st, sh, sid, tgt, std::nullopt,
-                             src_host.id);
+                const std::size_t tgt = rng.below(victims_.size());
+                maybe_infect(net, rng, sid, tgt, std::nullopt, src_host.id);
               } else {
                 // Outbound scan beyond the border — what the tap sees —
                 // which recruits fresh external bots.
@@ -580,7 +540,7 @@ class WormEmitter final : public EmitterBase {
                 const auto ext_idx = static_cast<std::uint32_t>(
                     rng.below(1u << 16));
                 Endpoint dst =
-                    Topology::external_host(5, ext_idx, sh.service_port);
+                    Topology::external_host(5, ext_idx, shape_.service_port);
                 auto probe = PacketBuilder(now)
                                  .tcp(src, dst, TcpFlags::kSyn,
                                       static_cast<std::uint32_t>(rng.next()))
@@ -589,167 +549,120 @@ class WormEmitter final : public EmitterBase {
                                  .build();
                 ++emitted_;
                 net.inject(Direction::kOutbound, std::move(probe));
-                if (st->external_bots < sh.max_external_bots &&
-                    rng.chance(sh.external_hit_fraction)) {
-                  ++st->external_bots;
+                if (external_bots_ < shape_.max_external_bots &&
+                    rng.chance(shape_.external_hit_fraction)) {
+                  ++external_bots_;
                 }
               }
             }
           });
-    return Status::success();
   }
-
-  std::span<const WormInfection> infections() const noexcept override {
-    return st_ ? std::span<const WormInfection>(st_->infections)
-               : std::span<const WormInfection>{};
-  }
-
- private:
-  struct State {
-    std::vector<Host> universe;        // the susceptible surface
-    std::vector<WormStatus> status;    // parallel to universe
-    std::vector<std::size_t> spreading;  // universe indexes, infection order
-    std::vector<WormInfection> infections;
-    int external_bots = 0;
-  };
 
   /// Advance the target's state machine on a successful exploit:
   /// Susceptible → Incubating now, → Spreading after the incubation
   /// delay. `exploit_src` present = the exploit rode an inbound frame.
-  void maybe_infect(CampusNetwork& net, Rng& rng,
-                    const std::shared_ptr<State>& st, const WormShape& sh,
-                    std::uint32_t sid, std::size_t tgt,
-                    std::optional<Endpoint> exploit_src,
+  void maybe_infect(CampusNetwork& net, Rng& rng, std::uint32_t sid,
+                    std::size_t tgt, std::optional<Endpoint> exploit_src,
                     std::uint32_t source_id) {
-    if (st->status[tgt] != WormStatus::kSusceptible) return;
-    if (!rng.chance(sh.infect_probability)) return;
+    if (status_[tgt] != WormStatus::kSusceptible) return;
+    if (!rng.chance(shape_.infect_probability)) return;
     const Timestamp now = net.events().now();
-    st->status[tgt] = WormStatus::kIncubating;
-    st->infections.push_back(
-        WormInfection{st->universe[tgt].id, now, source_id});
+    status_[tgt] = WormStatus::kIncubating;
+    infections_.push_back(WormInfection{victims_[tgt].id, now, source_id});
     if (exploit_src) {
       // The exploit payload itself, border-visible on the inbound wire.
-      Endpoint dst = st->universe[tgt].endpoint;
-      dst.port = sh.service_port;
+      Endpoint dst = victims_[tgt].endpoint;
+      dst.port = shape_.service_port;
       auto exploit = PacketBuilder(now)
                          .tcp(*exploit_src, dst,
                               TcpFlags::kAck | TcpFlags::kPsh, 1, 1)
-                         .payload_size(sh.exploit_bytes)
+                         .payload_size(shape_.exploit_bytes)
                          .label(TrafficLabel::kWorm)
                          .scenario(sid)
                          .build();
       ++emitted_;
       net.inject(Direction::kInbound, std::move(exploit));
     }
-    net.events().schedule_at(now + sh.incubation, [st, tgt] {
-      if (st->status[tgt] == WormStatus::kIncubating) {
-        st->status[tgt] = WormStatus::kSpreading;
-        st->spreading.push_back(tgt);
+    net.events().schedule_at(now + shape_.incubation, [this, tgt] {
+      if (status_[tgt] == WormStatus::kIncubating) {
+        status_[tgt] = WormStatus::kSpreading;
+        spreading_.push_back(tgt);
       }
     });
   }
 
-  std::shared_ptr<State> st_;
+  std::vector<WormStatus> status_;      // parallel to victims_
+  std::vector<std::size_t> spreading_;  // victims_ indexes, infection order
+  std::vector<WormInfection> infections_;
+  int external_bots_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 
-class ExfiltrationEmitter final : public EmitterBase {
+class ExfiltrationEmitter final : public ShapedEmitter<ExfiltrationShape> {
  public:
-  using EmitterBase::EmitterBase;
+  using ShapedEmitter::ShapedEmitter;
 
-  Status start(CampusNetwork& net, const EmitContext& ctx) override {
-    const auto shape_r = shape<ExfiltrationShape>();
-    if (!shape_r.ok()) return shape_r.error();
-    const ExfiltrationShape sh = shape_r.value();
-    if (auto s = preflight(phase_); !s.ok()) return s;
-    if (sh.beacon_jitter < 0.0 || sh.beacon_jitter >= 1.0) {
+ private:
+  Status validate() const override {
+    if (shape_.beacon_jitter < 0.0 || shape_.beacon_jitter >= 1.0) {
       return bad_shape("beacon_jitter must be in [0, 1)");
     }
-    if (sh.chunk_every < 1) return bad_shape("chunk_every must be >= 1");
-    auto victims_r = resolve_victims(phase_, net, ctx.seed);
-    if (!victims_r.ok()) return victims_r.error();
-    const std::vector<Host> hosts = std::move(victims_r).value();
-
-    // Beaconing is periodic-with-jitter, not Poisson: the defining
-    // signature of low-and-slow C2 traffic is the regular heartbeat, so
-    // this emitter runs its own loop instead of drive().
-    struct LoopState {
-      Rng rng;
-      Timestamp start;
-      Timestamp end;
-      Duration window;
-      IntensityEnvelope env;
-      ExfiltrationShape shape;
-      Host source;
-      Endpoint c2;
-      std::uint64_t beacons = 0;
-    };
-    auto st = std::make_shared<LoopState>(LoopState{
-        Rng(ctx.seed ^ 0xEF11), phase_.start, phase_.start + phase_.duration,
-        phase_.duration, phase_.intensity, sh, hosts.front(),
-        Topology::external_host(4, static_cast<std::uint32_t>(ctx.seed % 1024),
-                                sh.c2_port)});
-
-    const std::uint32_t sid = ctx.scenario_id;
-    auto step = [this, &net, st, sid](auto self) -> void {
-      const Timestamp now = net.events().now();
-      if (now > st->end) return;
-      const double r =
-          st->env.rate_at(now, st->start, st->window, net.config());
-      if (r <= 0.0) {
-        const auto next = st->env.next_active(now - st->start);
-        if (!next) return;
-        Timestamp at = st->start + *next;
-        if (at <= now) at = now + Duration::millis(1);
-        if (at > st->end) return;
-        net.events().schedule_at(at, [self] { self(self); });
-        return;
-      }
-      Rng& rng = st->rng;
-      ++st->beacons;
-      Endpoint src = st->source.endpoint;
-      src.port = static_cast<std::uint16_t>(49152 + rng.below(16000));
-      const auto seq = static_cast<std::uint32_t>(st->beacons);
-      auto beacon = PacketBuilder(now)
-                        .tcp(src, st->c2, TcpFlags::kAck | TcpFlags::kPsh,
-                             seq, seq)
-                        .payload_size(st->shape.beacon_bytes + rng.below(24))
-                        .label(TrafficLabel::kExfiltration)
-                        .scenario(sid)
-                        .build();
-      ++emitted_;
-      net.inject(Direction::kOutbound, std::move(beacon));
-      auto ack = PacketBuilder(now)
-                     .tcp(st->c2, src, TcpFlags::kAck, seq, seq + 1)
-                     .label(TrafficLabel::kExfiltration)
-                     .scenario(sid)
-                     .build();
-      ++emitted_;
-      net.inject(Direction::kInbound, std::move(ack));
-      if (st->beacons % static_cast<std::uint64_t>(st->shape.chunk_every) ==
-          0) {
-        auto chunk =
-            PacketBuilder(now)
-                .tcp(src, st->c2, TcpFlags::kAck | TcpFlags::kPsh, seq + 1,
-                     seq)
-                .payload_size(st->shape.chunk_bytes + rng.below(128))
-                .label(TrafficLabel::kExfiltration)
-                .scenario(sid)
-                .build();
-        ++emitted_;
-        net.inject(Direction::kOutbound, std::move(chunk));
-      }
-      // Jittered period: the beacon clock drifts ± jitter around 1/rate.
-      const double period = 1.0 / r;
-      const double gap =
-          period *
-          (1.0 + st->shape.beacon_jitter * (2.0 * rng.uniform() - 1.0));
-      net.events().schedule_in(Duration::from_seconds(std::max(gap, 1e-6)),
-                               [self] { self(self); });
-    };
-    net.events().schedule_at(phase_.start, [step] { step(step); });
+    if (shape_.chunk_every < 1) return bad_shape("chunk_every must be >= 1");
     return Status::success();
+  }
+
+  void run(CampusNetwork& net, const EmitContext& ctx) override {
+    const Endpoint c2 = Topology::external_host(
+        4, static_cast<std::uint32_t>(ctx.seed % 1024), shape_.c2_port);
+    // Beaconing is periodic-with-jitter, not Poisson: the defining
+    // signature of low-and-slow C2 traffic is the regular heartbeat.
+    const auto jittered_period = [jitter = shape_.beacon_jitter](
+                                     Rng& rng, double rate) {
+      // The beacon clock drifts ± jitter around 1/rate.
+      const double period = 1.0 / rate;
+      const double gap = period * (1.0 + jitter * (2.0 * rng.uniform() - 1.0));
+      return Duration::from_seconds(std::max(gap, 1e-6));
+    };
+    drive(
+        net, phase_, ctx.seed ^ 0xEF11,
+        [this, &net, c2, beacons = std::uint64_t{0},
+         sid = ctx.scenario_id](Rng& rng) mutable {
+          const Timestamp now = net.events().now();
+          ++beacons;
+          Endpoint src = victims_.front().endpoint;
+          src.port = static_cast<std::uint16_t>(49152 + rng.below(16000));
+          const auto seq = static_cast<std::uint32_t>(beacons);
+          auto beacon = PacketBuilder(now)
+                            .tcp(src, c2, TcpFlags::kAck | TcpFlags::kPsh,
+                                 seq, seq)
+                            .payload_size(shape_.beacon_bytes + rng.below(24))
+                            .label(TrafficLabel::kExfiltration)
+                            .scenario(sid)
+                            .build();
+          ++emitted_;
+          net.inject(Direction::kOutbound, std::move(beacon));
+          auto ack = PacketBuilder(now)
+                         .tcp(c2, src, TcpFlags::kAck, seq, seq + 1)
+                         .label(TrafficLabel::kExfiltration)
+                         .scenario(sid)
+                         .build();
+          ++emitted_;
+          net.inject(Direction::kInbound, std::move(ack));
+          if (beacons % static_cast<std::uint64_t>(shape_.chunk_every) == 0) {
+            auto chunk =
+                PacketBuilder(now)
+                    .tcp(src, c2, TcpFlags::kAck | TcpFlags::kPsh, seq + 1,
+                         seq)
+                    .payload_size(shape_.chunk_bytes + rng.below(128))
+                    .label(TrafficLabel::kExfiltration)
+                    .scenario(sid)
+                    .build();
+            ++emitted_;
+            net.inject(Direction::kOutbound, std::move(chunk));
+          }
+        },
+        jittered_period);
   }
 };
 

@@ -75,10 +75,13 @@ void TrafficGenerator::arm(App& app) {
   // accept with probability diurnal*load_scale (capped at 1) — this
   // modulates intensity without re-deriving the arrival stream.
   const double peak_rate = app.rate * std::max(net_->config().load_scale, 1.0);
-  const Duration gap =
-      Duration::from_seconds(app.rng.exponential(1.0 / peak_rate));
-  net_->events().schedule_in(gap, [this, &app] {
-    if (stopped_) return;
+  const auto next_arrival = [this, &app, peak_rate] {
+    return net_->events().now() +
+           Duration::from_seconds(app.rng.exponential(1.0 / peak_rate));
+  };
+  net_->events().loop(next_arrival(),
+                      [this, &app, next_arrival]() -> std::optional<Timestamp> {
+    if (stopped_) return std::nullopt;
     const double accept =
         net_->diurnal_factor(net_->events().now()) *
         net_->config().load_scale /
@@ -87,7 +90,7 @@ void TrafficGenerator::arm(App& app) {
       ++app.stats.sessions;
       app.spawn();
     }
-    arm(app);
+    return next_arrival();
   });
 }
 
@@ -109,68 +112,54 @@ void TrafficGenerator::transfer(App& app, Endpoint sender,
                                 Duration start_after) {
   // Lazy burst-by-burst emission so multi-megabyte transfers never hold
   // all their packets in memory at once.
-  struct State {
-    Endpoint sender, receiver;
-    Direction dir;
-    std::uint64_t remaining;
-    double pace_bps;
-    std::uint32_t seq = 1000;
-    std::uint32_t acked = 0;
-    int pkts_since_ack = 0;
-  };
-  auto st = std::make_shared<State>(State{sender, receiver, sender_dir,
-                                          payload_bytes, pace_bps});
   constexpr int kBurst = 8;
-
-  // Self-passing continuation (see scenario_emitters.cpp drive()): each
-  // queued event owns its own copy of the closure, so the state dies
-  // with the last queued event instead of leaking in a shared_ptr cycle.
-  auto step = [this, st, &app](auto self) -> void {
-    const Timestamp now = net_->events().now();
-    for (int i = 0; i < kBurst && st->remaining > 0; ++i) {
-      const std::size_t chunk =
-          static_cast<std::size_t>(std::min<std::uint64_t>(st->remaining,
-                                                           kMtuPayload));
-      auto pkt = PacketBuilder(now)
-                     .tcp(st->sender, st->receiver,
-                          TcpFlags::kAck | TcpFlags::kPsh, st->seq,
-                          st->acked)
-                     .payload_size(chunk)
-                     .build();
-      emit(st->dir, std::move(pkt), app);
-      st->seq += static_cast<std::uint32_t>(chunk);
-      st->remaining -= chunk;
-      if (++st->pkts_since_ack >= 8) {
-        st->pkts_since_ack = 0;
-        auto ack = PacketBuilder(now)
-                       .tcp(st->receiver, st->sender, TcpFlags::kAck, 2000,
-                            st->seq)
-                       .build();
-        emit(reverse(st->dir), std::move(ack), app);
-      }
-    }
-    if (st->remaining > 0) {
-      const double burst_bits =
-          static_cast<double>(kBurst) * (kMtuPayload + 54) * 8.0;
-      net_->events().schedule_in(
-          Duration::from_seconds(burst_bits / st->pace_bps),
-          [self] { self(self); });
-    } else {
-      // FIN/ACK teardown.
-      auto fin = PacketBuilder(net_->events().now())
-                     .tcp(st->sender, st->receiver,
-                          TcpFlags::kFin | TcpFlags::kAck, st->seq, st->acked)
-                     .build();
-      emit(st->dir, std::move(fin), app);
-      auto finack = PacketBuilder(net_->events().now())
-                        .tcp(st->receiver, st->sender,
-                             TcpFlags::kFin | TcpFlags::kAck, 2000,
-                             st->seq + 1)
-                        .build();
-      emit(reverse(st->dir), std::move(finack), app);
-    }
-  };
-  net_->events().schedule_in(start_after, [step] { step(step); });
+  net_->events().loop(
+      net_->events().now() + start_after,
+      [this, &app, sender, receiver, sender_dir, pace_bps,
+       remaining = payload_bytes, seq = std::uint32_t{1000},
+       pkts_since_ack = 0]() mutable -> std::optional<Timestamp> {
+        const Timestamp now = net_->events().now();
+        for (int i = 0; i < kBurst && remaining > 0; ++i) {
+          const std::size_t chunk = static_cast<std::size_t>(
+              std::min<std::uint64_t>(remaining, kMtuPayload));
+          emit(sender_dir,
+               PacketBuilder(now)
+                   .tcp(sender, receiver, TcpFlags::kAck | TcpFlags::kPsh,
+                        seq, 0)
+                   .payload_size(chunk)
+                   .build(),
+               app);
+          seq += static_cast<std::uint32_t>(chunk);
+          remaining -= chunk;
+          if (++pkts_since_ack >= 8) {
+            pkts_since_ack = 0;
+            emit(reverse(sender_dir),
+                 PacketBuilder(now)
+                     .tcp(receiver, sender, TcpFlags::kAck, 2000, seq)
+                     .build(),
+                 app);
+          }
+        }
+        if (remaining > 0) {
+          const double burst_bits =
+              static_cast<double>(kBurst) * (kMtuPayload + 54) * 8.0;
+          return now + Duration::from_seconds(burst_bits / pace_bps);
+        }
+        // FIN/ACK teardown.
+        emit(sender_dir,
+             PacketBuilder(now)
+                 .tcp(sender, receiver, TcpFlags::kFin | TcpFlags::kAck, seq,
+                      0)
+                 .build(),
+             app);
+        emit(reverse(sender_dir),
+             PacketBuilder(now)
+                 .tcp(receiver, sender, TcpFlags::kFin | TcpFlags::kAck, 2000,
+                      seq + 1)
+                 .build(),
+             app);
+        return std::nullopt;
+      });
 }
 
 // ----------------------------------------------------------------- web
@@ -367,50 +356,42 @@ void TrafficGenerator::ssh_session(App& app) {
   // Key exchange burst, then keystroke/echo pairs.
   const int keystrokes =
       static_cast<int>(std::min(rng.pareto(20.0, 1.3), 300.0));
-  struct KeyState {
-    Endpoint client, server;
-    int remaining;
-  };
-  auto st = std::make_shared<KeyState>(KeyState{client, server, keystrokes});
-  // Self-passing continuation (see scenario_emitters.cpp drive()) — no
-  // cycle.
-  auto step = [this, st, &app, &rng](auto self) -> void {
-    if (st->remaining-- <= 0) {
-      const Timestamp t = net_->events().now();
-      emit(Direction::kInbound,
-           PacketBuilder(t)
-               .tcp(st->client, st->server, TcpFlags::kFin | TcpFlags::kAck,
-                    500, 600)
-               .build(),
-           app);
-      emit(Direction::kOutbound,
-           PacketBuilder(t)
-               .tcp(st->server, st->client, TcpFlags::kFin | TcpFlags::kAck,
-                    600, 501)
-               .build(),
-           app);
-      return;
-    }
-    const Timestamp t = net_->events().now();
-    emit(Direction::kInbound,
-         PacketBuilder(t)
-             .tcp(st->client, st->server, TcpFlags::kAck | TcpFlags::kPsh,
-                  500, 600)
-             .payload_size(36 + rng.below(64))
-             .build(),
-         app);
-    emit(Direction::kOutbound,
-         PacketBuilder(t)
-             .tcp(st->server, st->client, TcpFlags::kAck | TcpFlags::kPsh,
-                  600, 500)
-             .payload_size(36 + rng.below(128))
-             .build(),
-         app);
-    net_->events().schedule_in(
-        Duration::from_seconds(rng.exponential(0.6)),
-        [self] { self(self); });
-  };
-  net_->events().schedule_in(Duration::millis(50), [step] { step(step); });
+  net_->events().loop(
+      now + Duration::millis(50),
+      [this, &app, &rng, client, server,
+       remaining = keystrokes]() mutable -> std::optional<Timestamp> {
+        const Timestamp t = net_->events().now();
+        if (remaining-- <= 0) {
+          emit(Direction::kInbound,
+               PacketBuilder(t)
+                   .tcp(client, server, TcpFlags::kFin | TcpFlags::kAck, 500,
+                        600)
+                   .build(),
+               app);
+          emit(Direction::kOutbound,
+               PacketBuilder(t)
+                   .tcp(server, client, TcpFlags::kFin | TcpFlags::kAck, 600,
+                        501)
+                   .build(),
+               app);
+          return std::nullopt;
+        }
+        emit(Direction::kInbound,
+             PacketBuilder(t)
+                 .tcp(client, server, TcpFlags::kAck | TcpFlags::kPsh, 500,
+                      600)
+                 .payload_size(36 + rng.below(64))
+                 .build(),
+             app);
+        emit(Direction::kOutbound,
+             PacketBuilder(t)
+                 .tcp(server, client, TcpFlags::kAck | TcpFlags::kPsh, 600,
+                      500)
+                 .payload_size(36 + rng.below(128))
+                 .build(),
+             app);
+        return t + Duration::from_seconds(rng.exponential(0.6));
+      });
 }
 
 // ----------------------------------------------------------------- mail

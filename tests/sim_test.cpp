@@ -1,10 +1,14 @@
-// Tests for campuslab::sim — event queue semantics, link queueing and
-// tail-drop, topology/address-plan determinism, border accounting
-// conservation, benign traffic realism, and attack scenario behaviour.
+// Tests for campuslab::sim — event queue and loop semantics, link
+// queueing and tail-drop, topology/address-plan determinism, border
+// accounting conservation, benign traffic realism, and attack scenario
+// behaviour.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "campuslab/packet/view.h"
 #include "campuslab/sim/simulator.h"
@@ -76,6 +80,119 @@ TEST(EventQueue, EventsCanScheduleEvents) {
   q.schedule_in(Duration::millis(1), recur);
   q.run_until(Timestamp::from_seconds(1.0));
   EXPECT_EQ(depth, 10);
+}
+
+// --------------------------------------------------------- EventQueue loop
+
+static_assert(!std::is_copy_constructible_v<EventQueue>,
+              "loop events hold the queue's address");
+
+TEST(EventQueueLoop, RunsAtEachReturnedTimeAndStopsAtNullopt) {
+  EventQueue q;
+  std::vector<double> ran;
+  q.loop(Timestamp::from_seconds(1.0), [&]() -> std::optional<Timestamp> {
+    ran.push_back(q.now().to_seconds());
+    if (ran.size() == 3) return std::nullopt;
+    return q.now() + Duration::seconds(2);
+  });
+  EXPECT_EQ(q.run_all(), 3u);
+  EXPECT_EQ(ran, (std::vector<double>{1.0, 3.0, 5.0}));
+  EXPECT_TRUE(q.empty());
+}
+
+// The successor queues after the events the step scheduled at the same
+// instant, in FIFO order: where a chain that re-schedules itself last
+// puts it.
+TEST(EventQueueLoop, SuccessorQueuesAfterTheStepsOwnEvents) {
+  const auto t = Timestamp::from_seconds(1.0);
+  const auto trace = [t](bool as_loop) {
+    EventQueue q;
+    std::vector<std::string> order;
+    int round = 0;
+    const auto body = [&] {
+      const auto r = std::to_string(round);
+      order.push_back("step" + r);
+      q.schedule_at(t, [&order, r] { order.push_back("a" + r); });
+      q.schedule_at(t, [&order, r] { order.push_back("b" + r); });
+      return ++round < 3;
+    };
+    q.schedule_at(t, [&] { order.push_back("before"); });
+    std::function<void()> chain = [&] {
+      if (body()) q.schedule_at(t, chain);
+    };
+    if (as_loop) {
+      q.loop(t, [&]() -> std::optional<Timestamp> {
+        if (body()) return t;
+        return std::nullopt;
+      });
+    } else {
+      q.schedule_at(t, chain);
+    }
+    q.schedule_at(t, [&] { order.push_back("after"); });
+    q.run_all();
+    return order;
+  };
+  const std::vector<std::string> want{"before", "step0", "after", "a0",
+                                      "b0",     "step1", "a1",    "b1",
+                                      "step2",  "a2",    "b2"};
+  EXPECT_EQ(trace(true), want);
+  EXPECT_EQ(trace(false), want);
+}
+
+TEST(EventQueueLoop, AStepCanStartAnotherLoop) {
+  struct World {
+    EventQueue q;
+    int parents = 0;
+    int children = 0;
+  } w;
+  // Both steps capture so little that they sit inside their slots: each
+  // child the parent starts mid-step grows the slot table, and the
+  // parent reads its capture after that.
+  w.q.loop(Timestamp{}, [&w]() -> std::optional<Timestamp> {
+    w.q.loop(w.q.now(), [&w, left = 3]() mutable -> std::optional<Timestamp> {
+      ++w.children;
+      if (--left == 0) return std::nullopt;
+      return w.q.now() + Duration::millis(10);
+    });
+    if (++w.parents == 40) return std::nullopt;
+    return w.q.now() + Duration::millis(1);
+  });
+  w.q.run_all();
+  EXPECT_EQ(w.parents, 40);
+  EXPECT_EQ(w.children, 120);
+}
+
+TEST(EventQueueLoop, AnEndedLoopReleasesItsStateAtOnce) {
+  EventQueue q;
+  auto state = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = state;
+  q.loop(Timestamp{},
+         [&q, state = std::move(state)]() -> std::optional<Timestamp> {
+           if (++*state == 3) return std::nullopt;
+           return q.now() + Duration::millis(1);
+         });
+  q.schedule_at(Timestamp::from_seconds(1.0), [] {});
+  q.run_until(Timestamp::from_seconds(0.001));
+  EXPECT_FALSE(watch.expired());
+  q.run_until(Timestamp::from_seconds(0.5));
+  EXPECT_TRUE(watch.expired());  // while the queue still holds an event
+  EXPECT_EQ(q.pending(), 1u);
+}
+
+TEST(EventQueueLoop, DestroyingTheQueueReleasesLiveLoops) {
+  std::weak_ptr<int> watch;
+  {
+    EventQueue q;
+    auto state = std::make_shared<int>(0);
+    watch = state;
+    q.loop(Timestamp{}, [&q, state]() -> std::optional<Timestamp> {
+      ++*state;
+      return q.now() + Duration::millis(1);
+    });
+    q.run_until(Timestamp::from_seconds(0.01));
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 // ------------------------------------------------------------------ Link
