@@ -1,5 +1,7 @@
 #include "campuslab/features/dataset_builder.h"
 
+#include <algorithm>
+
 namespace campuslab::features {
 
 using packet::TrafficLabel;
@@ -41,18 +43,16 @@ ml::Dataset build_from_flows(std::span<const capture::FlowRecord> flows,
   return data;
 }
 
+// Rows go in export order, so a dataset (and any split drawn from it
+// by row) depends on the stored flows and not on the store's row order.
 ml::Dataset build_from_store(const store::DataStore& store,
                              const FlowDatasetOptions& opt,
                              std::vector<std::uint32_t>* scenario_ids) {
-  ml::Dataset data(flow_feature_names(), dataset_class_names(opt));
-  if (scenario_ids != nullptr) scenario_ids->clear();
-  for (auto cur = store.open_cursor(store::FlowQuery{}); cur.next();) {
-    const auto& flow = cur.current().flow;
-    const auto x = extract_flow_features(flow);
-    data.add(x, dataset_label(flow.majority_label(), opt));
-    if (scenario_ids != nullptr) scenario_ids->push_back(flow.scenario_id);
-  }
-  return data;
+  std::vector<capture::FlowRecord> flows;
+  for (auto cur = store.open_cursor(store::FlowQuery{}); cur.next();)
+    flows.push_back(cur.current().flow);
+  std::stable_sort(flows.begin(), flows.end(), capture::flow_export_before);
+  return build_from_flows(flows, opt, scenario_ids);
 }
 
 }  // namespace

@@ -30,6 +30,8 @@ int dataset_label(packet::TrafficLabel label, const FlowDatasetOptions& opt);
 ml::Dataset build_flow_dataset(std::span<const capture::FlowRecord> flows,
                                const FlowDatasetOptions& opt = {});
 
+/// The stored flows, one row each, in export order
+/// (`capture::flow_export_before`), not the store's row order.
 ml::Dataset build_flow_dataset(const store::DataStore& store,
                                const FlowDatasetOptions& opt = {});
 

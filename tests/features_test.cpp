@@ -340,5 +340,20 @@ TEST(DatasetBuilder, FromStoreMatchesFromRecords) {
   EXPECT_EQ(a.label(0), b.label(0));
 }
 
+TEST(DatasetBuilder, FromStoreRowsGoInExportOrder) {
+  // Ingested out of order; the rows come back by first activity.
+  store::DataStore ds;
+  for (const std::uint32_t id : {3u, 1u, 2u}) {
+    auto flow = amp_flow();
+    flow.first_ts = Timestamp::from_seconds(id);
+    flow.scenario_id = id;
+    ds.ingest(flow);
+  }
+  std::vector<std::uint32_t> scenario_ids;
+  const auto data = build_flow_dataset(ds, {}, scenario_ids);
+  EXPECT_EQ(data.n_rows(), 3u);
+  EXPECT_EQ(scenario_ids, (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
 }  // namespace
 }  // namespace campuslab::features

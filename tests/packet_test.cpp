@@ -753,10 +753,7 @@ TEST(Builder, MatchesReferenceEncoderOnGeneratedFrames) {
     } else {
       b.payload_size(filler);
       f.payload = explicit_bytes;
-      if (cases % 2 == 0)
-        b.payload(explicit_bytes);
-      else
-        b.payload(std::move(explicit_bytes));  // taken, not copied
+      b.payload(explicit_bytes);
     }
     const auto pkt = b.build();
     const auto want = reference_frame(f);
