@@ -24,6 +24,18 @@ double GradientBoosted::RegressionTree::predict(
   return nodes[static_cast<std::size_t>(idx)].value;
 }
 
+/// The split search's view of one fit. Positions are dataset rows; each
+/// node owns an ascending range of `rows`, the round's subsample.
+struct GradientBoosted::Grower {
+  const Dataset& data;
+  const FeatureRanks& ranks;
+  RankSorter& sorter;
+  std::span<const std::uint32_t> identity;  // position p is row p
+  const std::vector<double>& gradients;
+  const std::vector<double>& hessians;
+  std::vector<std::uint32_t> rows;
+};
+
 void GradientBoosted::fit(const Dataset& data) {
   assert(data.n_classes() == 2);
   assert(data.n_rows() > 0);
@@ -39,7 +51,12 @@ void GradientBoosted::fit(const Dataset& data) {
   std::vector<double> gradients(data.n_rows());
   std::vector<double> hessians(data.n_rows());
   Rng rng(config_.seed);
-  ColumnSorter sorter(data.n_rows());
+  const FeatureRanks ranks(data);
+  RankSorter sorter(data.n_rows());
+  std::vector<std::uint32_t> identity(data.n_rows());
+  std::iota(identity.begin(), identity.end(), std::uint32_t{0});
+  Grower grower{data, ranks, sorter, identity, gradients, hessians, {}};
+  grower.rows.reserve(data.n_rows());
 
   for (int round = 0; round < config_.n_rounds; ++round) {
     // Negative gradient of logloss: (y - p); hessian p(1-p).
@@ -49,15 +66,15 @@ void GradientBoosted::fit(const Dataset& data) {
       hessians[i] = std::max(p * (1.0 - p), 1e-9);
     }
 
-    // Row subsample.
-    std::vector<std::size_t> rows;
-    rows.reserve(data.n_rows());
-    for (std::size_t i = 0; i < data.n_rows(); ++i)
+    // Row subsample, ascending.
+    grower.rows.clear();
+    for (std::uint32_t i = 0; i < data.n_rows(); ++i)
       if (config_.subsample >= 1.0 || rng.chance(config_.subsample))
-        rows.push_back(i);
-    if (rows.empty()) continue;
+        grower.rows.push_back(i);
+    if (grower.rows.empty()) continue;
 
-    auto tree = fit_regression_tree(data, rows, gradients, hessians, sorter);
+    RegressionTree tree;
+    build_regression_node(tree, grower, 0, grower.rows.size(), 0);
     // Update all scores (not just the subsample).
     for (std::size_t i = 0; i < data.n_rows(); ++i)
       score[i] += config_.learning_rate * tree.predict(data.row(i));
@@ -65,26 +82,17 @@ void GradientBoosted::fit(const Dataset& data) {
   }
 }
 
-GradientBoosted::RegressionTree GradientBoosted::fit_regression_tree(
-    const Dataset& data, const std::vector<std::size_t>& rows,
-    const std::vector<double>& gradients,
-    const std::vector<double>& hessians, ColumnSorter& sorter) const {
-  RegressionTree tree;
-  std::vector<std::size_t> working = rows;
-  build_regression_node(tree, data, working, gradients, hessians, 0,
-                        sorter);
-  return tree;
-}
-
-int GradientBoosted::build_regression_node(
-    RegressionTree& tree, const Dataset& data,
-    std::vector<std::size_t>& rows, const std::vector<double>& gradients,
-    const std::vector<double>& hessians, int depth,
-    ColumnSorter& sorter) const {
+int GradientBoosted::build_regression_node(RegressionTree& tree,
+                                           Grower& grower,
+                                           std::size_t begin,
+                                           std::size_t end,
+                                           int depth) const {
+  const auto& gradients = grower.gradients;
+  const auto& hessians = grower.hessians;
   double grad_sum = 0.0, hess_sum = 0.0;
-  for (const auto i : rows) {
-    grad_sum += gradients[i];
-    hess_sum += hessians[i];
+  for (std::size_t k = begin; k < end; ++k) {
+    grad_sum += gradients[grower.rows[k]];
+    hess_sum += hessians[grower.rows[k]];
   }
 
   const int node_index = static_cast<int>(tree.nodes.size());
@@ -92,25 +100,28 @@ int GradientBoosted::build_regression_node(
   tree.nodes.back().value = grad_sum / (hess_sum + 1.0);  // Newton + L2(1)
 
   if (depth >= config_.max_depth ||
-      rows.size() < 2 * config_.min_samples_leaf) {
+      end - begin < 2 * config_.min_samples_leaf) {
     return node_index;
   }
 
-  // Best split by Newton gain.
+  // Best split by Newton gain, sums in (rank, row) order.
   const double parent_gain = grad_sum * grad_sum / (hess_sum + 1.0);
+  const std::span<const std::uint32_t> node(grower.rows.data() + begin,
+                                            end - begin);
   int best_feature = -1;
   double best_threshold = 0.0;
   double best_gain = 1e-9;
 
-  for (std::size_t f = 0; f < data.n_features(); ++f) {
-    const auto sorted = sorter.sort(data, rows, f);  // (value, row)
-    if (sorted.front().first == sorted.back().first) continue;
+  for (std::size_t f = 0; f < grower.data.n_features(); ++f) {
+    const auto sorted =
+        grower.sorter.sort(grower.ranks, f, grower.identity, node);
+    if (sorted.front().rank == sorted.back().rank) continue;
 
     double left_grad = 0.0, left_hess = 0.0;
     for (std::size_t k = 0; k + 1 < sorted.size(); ++k) {
-      left_grad += gradients[sorted[k].second];
-      left_hess += hessians[sorted[k].second];
-      if (sorted[k].first == sorted[k + 1].first) continue;
+      left_grad += gradients[sorted[k].position];
+      left_hess += hessians[sorted[k].position];
+      if (sorted[k].rank == sorted[k + 1].rank) continue;
       const double right_grad = grad_sum - left_grad;
       const double right_hess = hess_sum - left_hess;
       const double gain = left_grad * left_grad / (left_hess + 1.0) +
@@ -119,33 +130,35 @@ int GradientBoosted::build_regression_node(
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (sorted[k].first + sorted[k + 1].first);
+        best_threshold =
+            0.5 * (grower.data.row(sorted[k].position)[f] +
+                   grower.data.row(sorted[k + 1].position)[f]);
       }
     }
   }
   if (best_feature < 0) return node_index;
 
-  std::vector<std::size_t> left_rows, right_rows;
-  for (const auto i : rows) {
-    (data.row(i)[static_cast<std::size_t>(best_feature)] <= best_threshold
-         ? left_rows
-         : right_rows)
-        .push_back(i);
-  }
-  if (left_rows.size() < config_.min_samples_leaf ||
-      right_rows.size() < config_.min_samples_leaf)
+  // A stable partition keeps both children's ranges ascending.
+  const auto feature = static_cast<std::size_t>(best_feature);
+  const auto first = grower.rows.begin();
+  const auto mid = static_cast<std::size_t>(
+      std::stable_partition(first + begin, first + end,
+                            [&](std::uint32_t row) {
+                              return grower.data.row(row)[feature] <=
+                                     best_threshold;
+                            }) -
+      first);
+  if (mid - begin < config_.min_samples_leaf ||
+      end - mid < config_.min_samples_leaf)
     return node_index;
-  rows.clear();
-  rows.shrink_to_fit();
 
   tree.nodes[static_cast<std::size_t>(node_index)].feature = best_feature;
   tree.nodes[static_cast<std::size_t>(node_index)].threshold =
       best_threshold;
-  const int left = build_regression_node(tree, data, left_rows, gradients,
-                                         hessians, depth + 1, sorter);
+  const int left =
+      build_regression_node(tree, grower, begin, mid, depth + 1);
   tree.nodes[static_cast<std::size_t>(node_index)].left = left;
-  const int right = build_regression_node(
-      tree, data, right_rows, gradients, hessians, depth + 1, sorter);
+  const int right = build_regression_node(tree, grower, mid, end, depth + 1);
   tree.nodes[static_cast<std::size_t>(node_index)].right = right;
   return node_index;
 }

@@ -63,10 +63,12 @@ std::pair<Dataset, Dataset> Dataset::stratified_split(double test_fraction,
   return {subset(train_idx), subset(test_idx)};
 }
 
-Dataset Dataset::bootstrap(Rng& rng) const {
-  std::vector<std::size_t> indices(n_rows());
-  for (auto& idx : indices) idx = rng.below(n_rows());
-  return subset(indices);
+std::vector<std::uint32_t> Dataset::bootstrap(Rng& rng) const {
+  assert(n_rows() <= UINT32_MAX);
+  std::vector<std::uint32_t> indices(n_rows());
+  for (auto& idx : indices)
+    idx = static_cast<std::uint32_t>(rng.below(n_rows()));
+  return indices;
 }
 
 std::vector<std::pair<double, double>> Dataset::feature_ranges() const {

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "campuslab/ml/column_sort.h"
+
 namespace campuslab::ml {
 
 void RandomForest::fit(const Dataset& data) {
@@ -18,16 +20,20 @@ void RandomForest::fit(const Dataset& data) {
                 std::max(1.0, std::floor(std::sqrt(
                                   static_cast<double>(data.n_features())))));
 
+  // Every tree fits a view of its bootstrap draw over one rank table and
+  // one node scratch, sized once for the whole forest.
+  const FeatureRanks ranks(data);
+  RankSorter sorter(data.n_rows());
   trees_.reserve(static_cast<std::size_t>(config_.n_trees));
   for (int t = 0; t < config_.n_trees; ++t) {
     Rng tree_rng = rng.fork(static_cast<std::uint64_t>(t) + 1);
-    const Dataset sample = data.bootstrap(tree_rng);
+    const auto rows = data.bootstrap(tree_rng);
     TreeConfig tc;
     tc.max_depth = config_.max_depth;
     tc.min_samples_leaf = config_.min_samples_leaf;
     tc.features_per_split = mtry;
     DecisionTree tree(tc);
-    tree.fit(sample, &tree_rng);
+    tree.fit(data, rows, ranks, sorter, &tree_rng);
     trees_.push_back(std::move(tree));
   }
 }

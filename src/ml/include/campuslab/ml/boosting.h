@@ -16,8 +16,6 @@
 
 namespace campuslab::ml {
 
-class ColumnSorter;
-
 struct BoostConfig {
   int n_rounds = 80;
   double learning_rate = 0.15;
@@ -59,15 +57,11 @@ class GradientBoosted final : public Classifier {
     double predict(std::span<const double> x) const;
   };
 
-  RegressionTree fit_regression_tree(
-      const Dataset& data, const std::vector<std::size_t>& rows,
-      const std::vector<double>& gradients,
-      const std::vector<double>& hessians, ColumnSorter& sorter) const;
-  int build_regression_node(
-      RegressionTree& tree, const Dataset& data,
-      std::vector<std::size_t>& rows, const std::vector<double>& gradients,
-      const std::vector<double>& hessians, int depth,
-      ColumnSorter& sorter) const;
+  struct Grower;  // one round's rows and the fit's scratch (boosting.cpp)
+
+  int build_regression_node(RegressionTree& tree, Grower& grower,
+                            std::size_t begin, std::size_t end,
+                            int depth) const;
 
   BoostConfig config_;
   double base_score_ = 0.0;  // initial log-odds

@@ -61,8 +61,9 @@ class Dataset {
   std::pair<Dataset, Dataset> stratified_split(double test_fraction,
                                                Rng& rng) const;
 
-  /// Bootstrap resample of the same size (bagging). Deterministic.
-  Dataset bootstrap(Rng& rng) const;
+  /// Bootstrap draw of the same size (bagging): n_rows() row indices,
+  /// each rng.below(n_rows()), in draw order. Deterministic in `rng`.
+  std::vector<std::uint32_t> bootstrap(Rng& rng) const;
 
   /// Per-feature observed [min, max] — the sampling box for the
   /// XAI extractor's synthetic queries.

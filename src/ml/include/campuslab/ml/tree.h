@@ -18,7 +18,8 @@
 
 namespace campuslab::ml {
 
-class ColumnSorter;
+class FeatureRanks;
+class RankSorter;
 
 struct TreeConfig {
   int max_depth = 8;
@@ -52,6 +53,14 @@ class DecisionTree final : public Classifier {
   /// features_per_split > 0.
   void fit(const Dataset& data, Rng* rng = nullptr,
            std::span<const double> sample_weights = {});
+
+  /// Fit on a sample of `data` without copying it: position p of the
+  /// sample is row rows[p] (rows may repeat, as in a bootstrap draw),
+  /// and the tree is the one fit() grows on data.subset(rows).
+  /// `ranks` are data's; `sorter` holds at least rows.size() positions.
+  /// Both can serve every tree of an ensemble.
+  void fit(const Dataset& data, std::span<const std::uint32_t> rows,
+           const FeatureRanks& ranks, RankSorter& sorter, Rng* rng);
 
   std::vector<double> predict_proba(
       std::span<const double> x) const override;
@@ -87,13 +96,14 @@ class DecisionTree final : public Classifier {
     double gain = 0.0;
   };
 
-  int build(const Dataset& data, std::vector<std::size_t>& indices,
-            std::span<const double> weights, int depth, Rng* rng,
-            ColumnSorter& sorter);
-  SplitDecision best_split(const Dataset& data,
-                           const std::vector<std::size_t>& indices,
-                           std::span<const double> weights, Rng* rng,
-                           ColumnSorter& sorter) const;
+  struct Grower;  // one fit's view of its sample (tree.cpp)
+
+  void grow(Grower& grower);
+  int build(Grower& grower, std::size_t begin, std::size_t end, int depth);
+  SplitDecision best_split(Grower& grower, std::size_t begin,
+                           std::size_t end,
+                           const std::vector<double>& parent_counts,
+                           double total_weight) const;
 
   TreeConfig config_;
   std::vector<TreeNode> nodes_;

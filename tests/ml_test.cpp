@@ -1,14 +1,17 @@
 // Tests for campuslab::ml — dataset mechanics, CART behaviour (XOR,
 // purity, depth caps, determinism, serialization), random forest,
 // gradient boosting, the split-search sort against std::sort, exact
-// fingerprints of all three learners' fits, logistic regression, and
-// hand-computed metrics.
+// fingerprints of all three learners' fits, a differential check of CART
+// and the forest against a simple reference split search, logistic
+// regression, and hand-computed metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <set>
 #include <sstream>
 
 #include "campuslab/ml/boosting.h"
@@ -81,8 +84,14 @@ TEST(Dataset, StratifiedSplitPreservesClassBalance) {
 TEST(Dataset, BootstrapSameSizeFromOriginalRows) {
   auto data = two_blob_dataset(50, 2.0, 3);
   Rng rng(4);
+  Rng replay(4);
   const auto boot = data.bootstrap(rng);
-  EXPECT_EQ(boot.n_rows(), data.n_rows());
+  ASSERT_EQ(boot.size(), data.n_rows());
+  for (const auto row : boot) {
+    EXPECT_LT(row, data.n_rows());
+    EXPECT_EQ(row, replay.below(data.n_rows()));
+  }
+  EXPECT_EQ(rng.next(), replay.next());  // no draw beyond the n rows
 }
 
 TEST(Dataset, FeatureRanges) {
@@ -496,6 +505,300 @@ TEST(ColumnSorter, MatchesStdSortBitForBit) {
         ASSERT_EQ(sorted[k].second, expected[k].second)
             << "family " << family << ", n " << n << ", position " << k;
       }
+    }
+  }
+}
+
+// ------------------------------------------------------------ RankSorter
+//
+// The node sort must give std::sort's order of (value, position) pairs,
+// where a position stands for a dataset row: the identity for a plain
+// fit, a draw with repeats for a forest tree. Ranks tie exactly where
+// values compare equal, -0.0 beside +0.0 included.
+
+TEST(RankSorter, MatchesStdSortOfValueAndPosition) {
+  constexpr std::size_t kSizes[] = {1, 2, 3, 255, 256, 257, 10'000};
+  constexpr std::size_t kMaxRows = 2 * 10'000 + 1;
+  Rng rng(101);
+  for (int family = 0; family < 6; ++family) {
+    RankSorter sorter(kMaxRows);  // reused across sizes, like nodes
+    for (const std::size_t n : kSizes) {
+      const std::size_t total = 2 * n + 1;
+      Dataset data({"noise", "value"}, {"only"});
+      for (std::size_t i = 0; i < total; ++i) {
+        const double row[2] = {rng.uniform(), family_value(family, rng)};
+        data.add(row, 0);
+      }
+      // Dense ranks: one per distinct value (std::set folds -0.0 into
+      // +0.0 as `<` does), all within key_bytes().
+      const FeatureRanks ranks(data);
+      const auto column = ranks.column(1);
+      const auto max_rank = *std::max_element(column.begin(), column.end());
+      std::set<double> distinct;
+      for (std::size_t i = 0; i < total; ++i) distinct.insert(data.row(i)[1]);
+      ASSERT_EQ(distinct.size(), std::size_t{max_rank} + 1);
+      ASSERT_LE(static_cast<unsigned>(std::bit_width(max_rank)),
+                8 * ranks.key_bytes(1));
+      for (const bool drawn : {false, true}) {
+        std::vector<std::uint32_t> rows(total);
+        for (std::size_t p = 0; p < total; ++p)
+          rows[p] = static_cast<std::uint32_t>(drawn ? rng.below(total) : p);
+        // n of the 2n + 1 positions, ascending with gaps, like a node's.
+        std::vector<std::uint32_t> positions;
+        for (std::uint32_t p = 0; p < total; ++p)
+          if (rng.below(total - p) < n - positions.size())
+            positions.push_back(p);
+        ASSERT_EQ(positions.size(), n);
+
+        std::vector<std::pair<double, std::uint32_t>> expected;
+        for (const auto p : positions)
+          expected.emplace_back(data.row(rows[p])[1], p);
+        std::sort(expected.begin(), expected.end());
+        SCOPED_TRACE(::testing::Message() << "family " << family << ", n "
+                                          << n << ", drawn " << drawn);
+        const auto sorted = sorter.sort(ranks, 1, rows, positions);
+        ASSERT_EQ(sorted.size(), n);
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_EQ(sorted[k].position, expected[k].second) << "at " << k;
+          ASSERT_EQ(sorted[k].rank, ranks.column(1)[rows[sorted[k].position]])
+              << "at " << k;
+          if (k > 0) {
+            ASSERT_EQ(sorted[k - 1].rank == sorted[k].rank,
+                      expected[k - 1].first == expected[k].first)
+                << "at " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------- Reference split search
+//
+// The simple CART the library's split search must equal: copy the node's
+// column, std::sort its (value, row) pairs, sweep. The reference forest
+// fits it on data.subset(drawn rows). For seeded draws of data and
+// configuration, the library's serialize() must equal the reference's
+// byte for byte, for CART and for every tree of a forest.
+
+double reference_gini(const std::vector<double>& counts, double total) {
+  if (total <= 0.0) return 0.0;
+  double sum_sq = 0.0;
+  for (const auto c : counts) sum_sq += (c / total) * (c / total);
+  return 1.0 - sum_sq;
+}
+
+struct ReferenceCart {
+  const Dataset& data;
+  TreeConfig config;
+  std::vector<double> weights;  // by row
+  Rng* rng;
+  std::vector<TreeNode> nodes;
+
+  int build(const std::vector<std::size_t>& rows, int depth) {
+    std::vector<double> counts(static_cast<std::size_t>(data.n_classes()));
+    double total = 0.0;
+    for (const auto r : rows) {
+      counts[static_cast<std::size_t>(data.label(r))] += weights[r];
+      total += weights[r];
+    }
+    const int id = static_cast<int>(nodes.size());
+    nodes.emplace_back().samples = rows.size();
+    for (const auto c : counts)
+      nodes.back().class_probs.push_back(total > 0 ? c / total : 0.0);
+    if (std::count_if(counts.begin(), counts.end(),
+                      [](double c) { return c > 0.0; }) <= 1 ||
+        depth >= config.max_depth ||
+        rows.size() < 2 * config.min_samples_leaf)
+      return id;
+
+    const std::size_t nf = data.n_features();
+    std::vector<std::size_t> features(nf);
+    std::iota(features.begin(), features.end(), std::size_t{0});
+    std::size_t consider = nf;
+    if (config.features_per_split > 0 && config.features_per_split < nf &&
+        rng != nullptr) {
+      consider = config.features_per_split;
+      for (std::size_t i = 0; i < consider; ++i)
+        std::swap(features[i], features[i + rng->below(nf - i)]);
+    }
+    const double parent = reference_gini(counts, total);
+    int best_feature = -1;
+    double best_threshold = 0.0, best_gain = 0.0;
+    for (std::size_t fi = 0; fi < consider; ++fi) {
+      const std::size_t f = features[fi];
+      std::vector<std::pair<double, std::size_t>> column;
+      for (const auto r : rows) column.emplace_back(data.row(r)[f], r);
+      std::sort(column.begin(), column.end());
+      if (column.front().first == column.back().first) continue;
+      std::vector<double> left(counts.size(), 0.0);
+      double left_weight = 0.0;
+      for (std::size_t k = 0; k + 1 < column.size(); ++k) {
+        const auto r = column[k].second;
+        left[static_cast<std::size_t>(data.label(r))] += weights[r];
+        left_weight += weights[r];
+        if (column[k].first == column[k + 1].first) continue;
+        const double right_weight = total - left_weight;
+        if (left_weight <= 0.0 || right_weight <= 0.0) continue;
+        double sum_sq = 0.0;
+        for (std::size_t c = 0; c < counts.size(); ++c) {
+          const double p = (counts[c] - left[c]) / right_weight;
+          sum_sq += p * p;
+        }
+        const double gain =
+            parent - (left_weight * reference_gini(left, left_weight) +
+                      right_weight * (1.0 - sum_sq)) /
+                         total;
+        if (gain > best_gain) {
+          best_feature = static_cast<int>(f);
+          best_threshold = 0.5 * (column[k].first + column[k + 1].first);
+          best_gain = gain;
+        }
+      }
+    }
+    if (best_feature < 0 || best_gain < config.min_gain) return id;
+
+    std::vector<std::size_t> left_rows, right_rows;
+    for (const auto r : rows)
+      (data.row(r)[static_cast<std::size_t>(best_feature)] <= best_threshold
+           ? left_rows
+           : right_rows)
+          .push_back(r);
+    if (left_rows.size() < config.min_samples_leaf ||
+        right_rows.size() < config.min_samples_leaf)
+      return id;
+    nodes[static_cast<std::size_t>(id)].feature = best_feature;
+    nodes[static_cast<std::size_t>(id)].threshold = best_threshold;
+    const int left_id = build(left_rows, depth + 1);
+    nodes[static_cast<std::size_t>(id)].left = left_id;
+    const int right_id = build(right_rows, depth + 1);
+    nodes[static_cast<std::size_t>(id)].right = right_id;
+    return id;
+  }
+
+  /// The reference's tree in DecisionTree::serialize()'s text format.
+  std::string fit() {
+    std::vector<std::size_t> rows(data.n_rows());
+    std::iota(rows.begin(), rows.end(), std::size_t{0});
+    build(rows, 0);
+    std::ostringstream out;
+    out.precision(17);
+    out << "campuslab-tree v1\n"
+        << data.n_classes() << ' ' << data.n_features() << ' '
+        << nodes.size() << '\n';
+    for (const auto& name : data.feature_names()) out << name << '\n';
+    for (const auto& name : data.class_names()) out << name << '\n';
+    for (const auto& node : nodes) {
+      out << node.feature << ' ' << node.threshold << ' ' << node.left << ' '
+          << node.right << ' ' << node.samples;
+      for (const auto p : node.class_probs) out << ' ' << p;
+      out << '\n';
+    }
+    return out.str();
+  }
+};
+
+/// A seeded dataset: 1-4 columns of one value family (or of mixed
+/// families), 2-3 classes that follow the first column with 25% noise.
+Dataset drawn_dataset(std::size_t n, Rng& rng) {
+  const std::size_t n_features = 1 + rng.below(4);
+  const int n_classes = 2 + static_cast<int>(rng.below(2));
+  std::vector<std::string> features, classes;
+  std::vector<int> families;
+  const bool mixed = rng.chance(0.5);
+  const int family = static_cast<int>(rng.below(6));
+  for (std::size_t f = 0; f < n_features; ++f) {
+    features.push_back("f" + std::to_string(f));
+    families.push_back(mixed ? static_cast<int>(rng.below(6)) : family);
+  }
+  for (int c = 0; c < n_classes; ++c) classes.push_back("c" + std::to_string(c));
+  Dataset data(features, classes);
+  std::vector<double> x(n_features);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t f = 0; f < n_features; ++f)
+      x[f] = family_value(families[f], rng);
+    const int signal = (x[0] > 0.0) + (x[0] > x[n_features - 1]);
+    const int label = rng.chance(0.25)
+                          ? static_cast<int>(rng.below(n_classes))
+                          : signal % n_classes;
+    data.add(x, label);
+  }
+  return data;
+}
+
+TEST(ReferenceSplitSearch, CartMatchesByteForByte) {
+  constexpr std::size_t kSizes[] = {1, 2, 17, 300, 3000};
+  constexpr std::size_t kFeaturesPerSplit[] = {0, 1, 3};
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(seed);
+    const auto data = drawn_dataset(kSizes[seed % 5], rng);
+    TreeConfig cfg;
+    cfg.max_depth = 1 + static_cast<int>(rng.below(16));
+    cfg.min_samples_leaf = 1 + rng.below(10);
+    cfg.features_per_split = kFeaturesPerSplit[rng.below(3)];
+    std::vector<double> weights;
+    switch (rng.below(3)) {
+      case 1:  // integer, zero included
+        for (std::size_t i = 0; i < data.n_rows(); ++i)
+          weights.push_back(static_cast<double>(rng.below(4)));
+        break;
+      case 2:  // fractional
+        for (std::size_t i = 0; i < data.n_rows(); ++i)
+          weights.push_back(rng.uniform(0.25, 4.0));
+        break;
+      default:  // none
+        break;
+    }
+    const std::uint64_t split_seed = rng.next();
+
+    DecisionTree tree(cfg);
+    Rng tree_rng(split_seed);
+    tree.fit(data, &tree_rng, weights);
+    Rng ref_rng(split_seed);
+    ReferenceCart ref{data, cfg, weights, &ref_rng, {}};
+    if (ref.weights.empty()) ref.weights.assign(data.n_rows(), 1.0);
+    ASSERT_EQ(tree.serialize(), ref.fit()) << "seed " << seed;
+  }
+}
+
+TEST(ReferenceSplitSearch, ForestTreesMatchByteForByte) {
+  constexpr std::size_t kSizes[] = {1, 2, 17, 300, 3000};
+  constexpr std::size_t kFeaturesPerSplit[] = {0, 1, 3};
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    Rng rng(seed * 7919);
+    const auto data = drawn_dataset(kSizes[seed % 5], rng);
+    ForestConfig cfg;
+    cfg.n_trees = 1 + static_cast<int>(rng.below(4));
+    cfg.max_depth = 1 + static_cast<int>(rng.below(16));
+    cfg.min_samples_leaf = 1 + rng.below(10);
+    cfg.features_per_split = kFeaturesPerSplit[rng.below(3)];
+    cfg.seed = rng.next();
+    RandomForest forest(cfg);
+    forest.fit(data);
+
+    // The reference: each tree's draw copied into its own dataset.
+    const std::size_t n = data.n_rows();
+    TreeConfig tc;
+    tc.max_depth = cfg.max_depth;
+    tc.min_samples_leaf = cfg.min_samples_leaf;
+    tc.features_per_split =
+        cfg.features_per_split > 0
+            ? cfg.features_per_split
+            : static_cast<std::size_t>(std::max(
+                  1.0, std::floor(std::sqrt(
+                           static_cast<double>(data.n_features())))));
+    Rng forest_rng(cfg.seed);
+    ASSERT_EQ(forest.trees().size(), static_cast<std::size_t>(cfg.n_trees));
+    for (int t = 0; t < cfg.n_trees; ++t) {
+      Rng tree_rng = forest_rng.fork(static_cast<std::uint64_t>(t) + 1);
+      std::vector<std::size_t> drawn(n);
+      for (auto& r : drawn) r = tree_rng.below(n);
+      const Dataset sample = data.subset(drawn);
+      ReferenceCart ref{sample, tc, std::vector<double>(n, 1.0), &tree_rng,
+                        {}};
+      ASSERT_EQ(forest.trees()[static_cast<std::size_t>(t)].serialize(),
+                ref.fit())
+          << "seed " << seed << ", tree " << t;
     }
   }
 }
