@@ -55,7 +55,7 @@ struct StoreMetrics {
 
 // Fill `index` from (key << 32 | row) pairs listed in row order. A
 // stable LSD radix sort on the key bytes orders keys ascending and
-// keeps rows ascending within a key, which is the order the CLSEG01
+// keeps rows ascending within a key, which is the order the CLSEG02
 // index section stores. A pass whose byte is the same in every pair
 // moves nothing and is skipped.
 template <typename Key>

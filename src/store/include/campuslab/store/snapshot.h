@@ -41,7 +41,7 @@ namespace campuslab::store {
 /// the segment's `flows`, strictly ascending) are
 /// rows[starts[i], starts[i+1]). `starts` has keys.size() + 1 entries
 /// once built. Segment::seal() builds it from the rows; decode_segment
-/// reads it straight out of a CLSEG01 index section, which stores the
+/// reads it straight out of a CLSEG02 index section, which stores the
 /// same keys and rows in the same order.
 template <typename Key>
 struct PostingIndex {
@@ -63,6 +63,30 @@ struct PostingIndex {
     const auto it = std::lower_bound(keys.begin(), keys.end(), key);
     if (it == keys.end() || *it != key) return {};
     return postings(static_cast<std::size_t>(it - keys.begin()));
+  }
+};
+
+/// How much of its spilled file a decoded Segment holds. A hot segment
+/// and a whole-file decode hold every row and every index (kWhole) and
+/// serve every plan. A time-scan read holds every row and no index
+/// (kRows) and serves time scans only. An index read holds the rows
+/// one key's posting list names, in posting order, indexed under that
+/// key alone (kKey); it serves that plan and key only.
+struct SegmentProjection {
+  enum class Kind : std::uint8_t { kWhole, kRows, kKey };
+  Kind kind = Kind::kWhole;
+  IndexKind plan = IndexKind::kTimeScan;  // kKey: the index it read
+  std::uint64_t key = 0;                  // kKey: the key it looked up
+
+  /// Whether a scan with `want` (and, for an index plan, `want_key`)
+  /// finds here every row it would find in the whole segment.
+  bool serves(IndexKind want, std::uint64_t want_key) const noexcept {
+    switch (kind) {
+      case Kind::kWhole: return true;
+      case Kind::kRows: return want == IndexKind::kTimeScan;
+      case Kind::kKey: return want == plan && want_key == key;
+    }
+    return false;
   }
 };
 
@@ -90,6 +114,8 @@ struct Segment {
   PostingIndex<std::uint16_t> by_port;
   std::array<std::vector<std::uint32_t>, packet::kTrafficLabelCount>
       by_label;
+  // What a cold read kept of its file; kWhole for every hot segment.
+  SegmentProjection projection;
 };
 
 class ColdSegmentHandle;  // segment_file.h — the spilled-tier reference
@@ -101,10 +127,12 @@ class ColdSegmentHandle;  // segment_file.h — the spilled-tier reference
 /// Tiering: a spilled segment pins its ColdSegmentHandle instead of a
 /// Segment — `segment` starts null and `cold` carries the zone map.
 /// The query engine prunes on the zone map and, only if the file may
-/// contain matches, loads it and parks the loaded shared_ptr in
-/// `segment`, so rows produced from a cold segment are owned by the
-/// snapshot exactly like hot rows. Both tiers scan identically from
-/// there on.
+/// contain matches, reads the part of it the query's plan needs and
+/// parks that Segment in `segment`, so rows produced from a cold
+/// segment are owned by the snapshot exactly like hot rows. Both tiers
+/// scan identically from there on. A later scan of the same pin with a
+/// plan the parked Segment does not serve (its `projection`) reads the
+/// file again. `count` stays the file's flow count.
 struct PinnedSegment {
   std::shared_ptr<const Segment> segment;
   std::uint32_t count = 0;

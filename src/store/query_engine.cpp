@@ -91,6 +91,22 @@ void ScanPool::parallel_for(std::size_t n,
 
 namespace {
 
+// The key an index plan looks up: the host address value, the label's
+// index or the port its predicate names; 0 for a time scan.
+std::uint64_t plan_key(const FlowQuery& q, IndexKind plan) noexcept {
+  switch (plan) {
+    case IndexKind::kHost:
+      return (q.host ? *q.host : (q.src ? *q.src : *q.dst)).value();
+    case IndexKind::kLabel:
+      return static_cast<std::uint64_t>(*q.label);
+    case IndexKind::kPort:
+      return *q.port;
+    case IndexKind::kTimeScan:
+      break;
+  }
+  return 0;
+}
+
 // The one per-segment scan under every read: execute_query,
 // execute_aggregate, scan_chunk and QueryCursor differ only in the
 // `visit` they pass. It hands `visit` each row of `pin` that has an id
@@ -103,34 +119,42 @@ namespace {
 // (a cold one without I/O). Ids start at 1: after_id 0 skips nothing.
 //
 // Cold pins resolve here: the zone map prunes the whole file against
-// the query's time bounds before any I/O; a surviving file is decoded
-// (concurrent queries share one decode through the handle) and the
-// loaded shared_ptr is parked in the pin, so the snapshot owns the rows
-// it scanned. From that point a cold segment is scanned by exactly the
-// code that scans a hot one, which is what makes results bit-identical
-// across tiers. A load failure (corrupt or vanished file) contributes
-// zero rows and a cold_load_failures tick, never UB.
+// the query's time bounds before any I/O; a surviving file is read
+// through the projection for the plan (ColdSegmentHandle::load(plan,
+// key): a time scan decodes every row and no index, an index plan only
+// its key's rows, and any live decode that serves the plan is shared),
+// and the Segment is parked in the pin, so the snapshot owns the rows
+// it scanned. A projection holds the rows the plan's index names at
+// the offsets it names them, so from that point a cold segment is
+// scanned, and counted, by exactly the code that scans a hot one: that
+// is what makes results and every non-cold QueryStats field
+// bit-identical across tiers. A load failure (corrupt or vanished
+// file) contributes zero rows and a cold_load_failures tick, never UB.
 template <typename Visit>
 bool scan_segment(PinnedSegment& pin, const FlowQuery& q, IndexKind plan,
                   std::uint64_t after_id, QueryStats& stats, Visit&& visit) {
   if (pin.count == 0) return true;
-  if (pin.segment == nullptr) {
-    if (pin.cold == nullptr) return true;
+  const std::uint64_t key = plan_key(q, plan);
+  if (pin.cold != nullptr) {  // spilled segments are sealed: indexed
     const SegmentZoneMap& zone = pin.cold->zone();
     if (zone.id_hi <= after_id) return true;
-    if ((q.from && zone.max_ts < *q.from) ||
-        (q.to && zone.min_ts > *q.to)) {
-      ++stats.cold_pruned;
-      return true;
+    if (pin.segment == nullptr ||
+        !pin.segment->projection.serves(plan, key)) {
+      if ((q.from && zone.max_ts < *q.from) ||
+          (q.to && zone.min_ts > *q.to)) {
+        ++stats.cold_pruned;
+        return true;
+      }
+      auto loaded = pin.cold->load(plan, key);
+      if (!loaded.ok()) {
+        ++stats.cold_load_failures;
+        return true;
+      }
+      pin.segment = std::move(loaded).value();
+      ++stats.cold_loaded;
     }
-    auto loaded = pin.cold->load();
-    if (!loaded.ok()) {
-      ++stats.cold_load_failures;
-      return true;
-    }
-    pin.segment = std::move(loaded).value();
-    ++stats.cold_loaded;
-  } else if (pin.segment->flows.data()[pin.count - 1].id <= after_id) {
+  } else if (pin.segment == nullptr ||
+             pin.segment->flows.data()[pin.count - 1].id <= after_id) {
     return true;
   }
   const Segment& seg = *pin.segment;
@@ -143,17 +167,15 @@ bool scan_segment(PinnedSegment& pin, const FlowQuery& q, IndexKind plan,
     if (q.from && seg.max_ts < *q.from) return true;
     if (q.to && seg.min_ts > *q.to) return true;
     switch (plan) {
-      case IndexKind::kHost: {
-        const auto addr = q.host ? *q.host : (q.src ? *q.src : *q.dst);
-        candidates = seg.by_host.find(addr.value());
+      case IndexKind::kHost:
+        candidates = seg.by_host.find(static_cast<std::uint32_t>(key));
         if (candidates->empty()) return true;
         break;
-      }
       case IndexKind::kLabel:
-        candidates = seg.by_label[static_cast<std::size_t>(*q.label)];
+        candidates = seg.by_label[key];
         break;
       case IndexKind::kPort:
-        candidates = seg.by_port.find(*q.port);
+        candidates = seg.by_port.find(static_cast<std::uint16_t>(key));
         if (candidates->empty()) return true;
         break;
       case IndexKind::kTimeScan:

@@ -1,10 +1,12 @@
 #include "campuslab/store/segment_file.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <numeric>
 
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
@@ -25,38 +27,207 @@ namespace campuslab::store {
 
 namespace {
 
-// "CLSEG01\n" big-endian: readable in a hex dump, and the trailing
+// "CLSEG02\n" big-endian: readable in a hex dump, and the trailing
 // newline catches text-mode mangling the way pcap's magic does.
-constexpr std::uint64_t kMagic = 0x434C53454730310AULL;
+constexpr std::uint64_t kMagic = 0x434C53454730320AULL;
 
-// Standard-basis FNV-1a from util/hash.h; the golden segment fixture
-// pins that checksums are unchanged across the dedup. The varint /
-// zigzag codecs and the sticky-failure decoder moved to util/codec.h
-// (shared with the shard wire protocol); the fixture equally pins that
-// the shared implementation emits identical bytes.
+// The header keeps standard-basis FNV-1a from util/hash.h; the payload
+// is covered by util::checksum64. The varint / zigzag encoders are the
+// shared util/codec.h ones, so every column keeps its CLSEG01 bytes.
+using util::checksum64;
 using util::fnv1a;
 using util::put_varint;
 using util::unzigzag;
 using util::zigzag;
-using Decoder = util::VarintDecoder;
 
 // The hot budget's charge per host or port key, on top of 4 B per
 // posting. The flat index costs far less per key; the charge stays so
 // that which segments the budget keeps hot does not change.
 constexpr std::uint64_t kHotBytesPerIndexKey = 48;
 
+// The payload's sections, in file order: one per column (the counters
+// and TCP flag counts one per field), then the three index sections.
+enum Section : std::size_t {
+  kIds, kFirstTs, kDuration, kHostDict, kSrcHost, kDstHost, kSrcPort,
+  kDstPort, kProto, kDirection, kSawDns, kPackets, kBytes, kPayloadBytes,
+  kFwdPackets, kRevPackets, kSynCount, kSynackCount, kFinCount, kRstCount,
+  kPshCount, kLabels, kScenarioId, kHostIndex, kPortIndex, kLabelIndex,
+  kSectionCount
+};
+static_assert(kSectionCount == kSegmentSections);
+
+using Sections = std::array<std::span<const std::uint8_t>, kSegmentSections>;
+
+// A bounds-checked reader over one payload section with sticky
+// failure. Its varint accepts exactly what util::VarintDecoder accepts;
+// unlike that shared decoder (which the wire uses for hot answers) it
+// skips the per-byte bounds check while ten or more bytes remain.
+class SectionReader {
+ public:
+  explicit SectionReader(std::span<const std::uint8_t> section) noexcept
+      : p_(section.data()), end_(section.data() + section.size()) {}
+
+  bool failed() const noexcept { return failed_; }
+  bool at_end() const noexcept { return p_ == end_; }
+  std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - p_);
+  }
+
+  std::uint64_t varint() noexcept {
+    if (end_ - p_ >= 10) [[likely]] {
+      std::uint64_t b = *p_++;
+      if (b < 0x80) return b;
+      std::uint64_t v = b & 0x7F;
+      for (int shift = 7; shift <= 56; shift += 7) {
+        b = *p_++;
+        v |= (b & 0x7F) << shift;
+        if (b < 0x80) return v;
+      }
+      b = *p_++;  // the 10th byte holds only bit 63
+      if (b <= 1) return v | b << 63;
+      return fail();
+    }
+    return varint_near_end();
+  }
+
+  std::uint64_t varint_at_most(std::uint64_t bound) noexcept {
+    const std::uint64_t v = varint();
+    return v > bound ? fail() : v;
+  }
+
+  std::uint8_t byte() noexcept {
+    if (p_ == end_) return static_cast<std::uint8_t>(fail());
+    return *p_++;
+  }
+
+  std::span<const std::uint8_t> bytes(std::uint64_t n) noexcept {
+    if (n > remaining()) {
+      fail();
+      return {};
+    }
+    const std::uint8_t* at = p_;
+    p_ += n;
+    return {at, static_cast<std::size_t>(n)};
+  }
+
+  // Step over `rows` rows of the label column: a presence mask (checked
+  // as the whole decode checks it), then one varint per set bit.
+  void skip_label_rows(std::uint64_t rows) noexcept {
+    for (; rows > 0; --rows) {
+      if (p_ == end_ || (*p_ >> packet::kTrafficLabelCount) != 0) {
+        fail();
+        return;
+      }
+      for (int left = std::popcount(*p_++); left > 0;) {
+        if (p_ == end_) {
+          fail();
+          return;
+        }
+        if (*p_++ < 0x80) --left;
+      }
+    }
+  }
+
+  // Step over `count` varints by counting the bytes that end one, eight
+  // at a time. It checks bounds, not varint lengths: a walk only has to
+  // land where a whole decode would on a file that decodes whole.
+  void skip_varints(std::uint64_t count) noexcept {
+    while (count > 0 && end_ - p_ >= 8) {
+      std::uint64_t ends =
+          ~util::detail::load_le64(p_) & 0x8080808080808080ULL;
+      const auto here = static_cast<std::uint64_t>(std::popcount(ends));
+      if (here < count) {
+        count -= here;
+        p_ += 8;
+        continue;
+      }
+      for (; count > 1; --count) ends &= ends - 1;  // drop earlier ends
+      p_ += std::countr_zero(ends) / 8 + 1;
+      return;
+    }
+    for (; count > 0; --count) {
+      while (p_ != end_ && *p_ >= 0x80) ++p_;
+      if (p_ == end_) {
+        fail();
+        return;
+      }
+      ++p_;
+    }
+  }
+
+ private:
+  std::uint64_t fail() noexcept {
+    failed_ = true;
+    p_ = end_;
+    return 0;
+  }
+
+  std::uint64_t varint_near_end() noexcept {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64 && p_ != end_; shift += 7) {
+      const std::uint64_t b = *p_++;
+      v |= (b & 0x7F) << shift;
+      if (b < 0x80) return shift == 63 && b > 1 ? fail() : v;
+    }
+    return fail();
+  }
+
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  bool failed_ = false;
+};
+
+// The rows a decode materializes: every row of the file in order, or
+// the strictly ascending offsets one posting list names. Output row k
+// is file row at(k).
+struct AllRows {
+  static constexpr bool kAll = true;
+  std::uint32_t n;
+  std::uint32_t size() const noexcept { return n; }
+  std::uint32_t at(std::uint32_t k) const noexcept { return k; }
+};
+struct PostingRows {
+  static constexpr bool kAll = false;
+  std::span<const std::uint32_t> rows;
+  std::uint32_t size() const noexcept {
+    return static_cast<std::uint32_t>(rows.size());
+  }
+  std::uint32_t at(std::uint32_t k) const noexcept { return rows[k]; }
+};
+
+// Hand row at(k)'s value of a varint column to put(k, v), k ascending;
+// false when put rejects a value or the column is malformed. AllRows
+// reads every value and requires the column to end with the last; a
+// posting list skips to each row it names and stops after the last.
+template <typename Rows, typename Put>
+bool read_varints(SectionReader& r, const Rows& rows, Put&& put) {
+  if constexpr (Rows::kAll) {
+    for (std::uint32_t i = 0; i < rows.n; ++i)
+      if (!put(i, r.varint())) return false;
+    return !r.failed() && r.at_end();
+  } else {
+    std::uint32_t next = 0;  // the row the reader stands at
+    for (std::uint32_t k = 0; k < rows.size(); ++k) {
+      r.skip_varints(rows.at(k) - next);
+      if (!put(k, r.varint())) return false;
+      next = rows.at(k) + 1;
+    }
+    return !r.failed();
+  }
+}
+
 /// Append one strictly ascending offset list (the shape every
 /// inverted-index posting list has): absolute first value, then deltas
 /// >= 1, all < flow_count. Returns false on any structural violation.
 /// Never reserves: callers append many lists to one array.
-bool append_offsets(Decoder& d, std::uint32_t flow_count,
+bool append_offsets(SectionReader& r, std::uint32_t flow_count,
                     std::vector<std::uint32_t>& out) {
-  const std::uint64_t m = d.varint_at_most(flow_count);
-  if (d.failed) return false;
+  const std::uint64_t m = r.varint_at_most(flow_count);
+  if (r.failed()) return false;
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < m; ++i) {
-    const std::uint64_t delta = d.varint();
-    if (d.failed) return false;
+    const std::uint64_t delta = r.varint();
+    if (r.failed()) return false;
     const std::uint64_t v = i == 0 ? delta : prev + delta;
     // v <= prev also catches a delta that wraps the sum past 2^64.
     if (v >= flow_count || (i != 0 && v <= prev)) return false;
@@ -75,7 +246,8 @@ void encode_offsets(ByteWriter& w, std::span<const std::uint32_t> v) {
 struct ParsedHeader {
   SegmentZoneMap zone;
   std::uint64_t payload_size = 0;
-  std::uint64_t payload_fnv = 0;
+  std::uint64_t payload_sum = 0;
+  std::array<std::uint64_t, 2 * kSegmentSections> directory{};  // off, len
 };
 
 Result<ParsedHeader> parse_header(std::span<const std::uint8_t> file) {
@@ -93,7 +265,7 @@ Result<ParsedHeader> parse_header(std::span<const std::uint8_t> file) {
   r.u32();  // flags, reserved (covered by the header checksum)
   ParsedHeader h;
   h.payload_size = r.u64();
-  h.payload_fnv = r.u64();
+  h.payload_sum = r.u64();
   h.zone.flow_count = r.u32();
   h.zone.min_ts =
       Timestamp::from_nanos(static_cast<std::int64_t>(r.u64()));
@@ -104,6 +276,7 @@ Result<ParsedHeader> parse_header(std::span<const std::uint8_t> file) {
   h.zone.packets = r.u64();
   h.zone.bytes = r.u64();
   for (auto& lf : h.zone.label_flows) lf = r.u64();
+  for (auto& field : h.directory) field = r.u64();
   const std::uint64_t stored = r.u64();
   if (stored != fnv1a(file.first(kSegmentFileHeaderBytes - 8)))
     return Error::make("segment_checksum", "header checksum mismatch");
@@ -111,6 +284,336 @@ Result<ParsedHeader> parse_header(std::span<const std::uint8_t> file) {
     return Error::make("segment_truncated",
                        "payload size disagrees with file size");
   return h;
+}
+
+Error corrupt() {
+  return Error::make("segment_corrupt", "malformed segment payload");
+}
+
+// A payload both checksums vouch for, cut into its sections.
+struct Payload {
+  SegmentZoneMap zone;
+  Sections sections;
+};
+
+// Parse the header, check the payload's checksum64 (every read checks
+// the whole payload, whatever it then decodes), and cut the payload
+// where the directory says. The sections must tile it in order.
+Result<Payload> open_payload(std::span<const std::uint8_t> file) {
+  auto parsed = parse_header(file);
+  if (!parsed.ok()) return parsed.error();
+  const ParsedHeader& header = parsed.value();
+  const auto payload = file.subspan(kSegmentFileHeaderBytes);
+  if (checksum64(payload) != header.payload_sum)
+    return Error::make("segment_checksum", "payload checksum mismatch");
+  Payload out{header.zone, {}};
+  std::uint64_t at = 0;
+  for (std::size_t s = 0; s < kSegmentSections; ++s) {
+    const std::uint64_t offset = header.directory[2 * s];
+    const std::uint64_t length = header.directory[2 * s + 1];
+    if (offset != at || length > payload.size() - at) return corrupt();
+    out.sections[s] = payload.subspan(at, length);
+    at += length;
+  }
+  if (at != payload.size()) return corrupt();
+  return out;
+}
+
+// The sorted host dictionary: a count of at most 2n, then strictly
+// ascending u32 addresses as deltas; the section ends with the last.
+bool read_host_dict(std::span<const std::uint8_t> section, std::uint32_t n,
+                    std::vector<std::uint32_t>& hosts) {
+  SectionReader r(section);
+  const std::uint64_t size = r.varint_at_most(std::uint64_t{n} * 2);
+  if (r.failed()) return false;
+  hosts.reserve(std::min<std::uint64_t>(size, r.remaining()));
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < size; ++i) {
+    const std::uint64_t delta = r.varint();
+    const std::uint64_t v = i == 0 ? delta : prev + delta;
+    if (r.failed() || v > std::numeric_limits<std::uint32_t>::max() ||
+        (i != 0 && delta == 0))
+      return false;
+    hosts.push_back(static_cast<std::uint32_t>(v));
+    prev = v;
+  }
+  return r.at_end();
+}
+
+// Decode the rows `rows` names into out[0, rows.size()), column by
+// column. AllRows checks every column to its end; a posting list's
+// rows read the id column up to the last named row (ids are delta
+// coded) and skip to each named row in every other column. The checks
+// on each value read are the same either way.
+template <typename Rows>
+bool decode_rows(const Payload& p, const Rows& rows, StoredFlow* out) {
+  const Sections& sec = p.sections;
+  const std::uint32_t n = p.zone.flow_count;
+  const std::uint32_t k_rows = rows.size();
+  const auto done = [](const SectionReader& r) {
+    return !r.failed() && (!Rows::kAll || r.at_end());
+  };
+
+  // Flow ids: absolute first, zigzag deltas after.
+  {
+    SectionReader r(sec[kIds]);
+    const std::uint32_t end = k_rows == 0 ? 0 : rows.at(k_rows - 1) + 1;
+    std::uint64_t id = 0;
+    std::uint32_t k = 0;
+    for (std::uint32_t i = 0; i < end; ++i) {
+      const std::uint64_t raw = r.varint();
+      id = i == 0 ? raw : id + static_cast<std::uint64_t>(unzigzag(raw));
+      if (Rows::kAll || i == rows.at(k)) out[k++].id = id;
+    }
+    if (!done(r)) return false;
+  }
+
+  const auto column = [&](Section s, auto&& put) {
+    SectionReader r(sec[s]);
+    return read_varints(r, rows, put);
+  };
+  const auto u64_field = [&](Section s,
+                             std::uint64_t capture::FlowRecord::*field) {
+    return column(s, [&](std::uint32_t k, std::uint64_t v) {
+      out[k].flow.*field = v;
+      return true;
+    });
+  };
+  const auto u32_field = [&](Section s,
+                             std::uint32_t capture::FlowRecord::*field) {
+    return column(s, [&](std::uint32_t k, std::uint64_t v) {
+      out[k].flow.*field = static_cast<std::uint32_t>(v);
+      return v <= 0xFFFFFFFFULL;
+    });
+  };
+
+  // Timestamps: first_ts from the zone minimum, last_ts as a zigzag
+  // duration after first_ts.
+  const auto min_ts = static_cast<std::uint64_t>(p.zone.min_ts.nanos());
+  if (!column(kFirstTs, [&](std::uint32_t k, std::uint64_t v) {
+        out[k].flow.first_ts =
+            Timestamp::from_nanos(static_cast<std::int64_t>(min_ts + v));
+        return true;
+      }) ||
+      !column(kDuration, [&](std::uint32_t k, std::uint64_t v) {
+        out[k].flow.last_ts = Timestamp::from_nanos(static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(out[k].flow.first_ts.nanos()) +
+            static_cast<std::uint64_t>(unzigzag(v))));
+        return true;
+      }))
+    return false;
+
+  // Hosts: dictionary indexes into the sorted address dictionary.
+  std::vector<std::uint32_t> hosts;
+  if (!read_host_dict(sec[kHostDict], n, hosts)) return false;
+  const auto host_field = [&](Section s,
+                              packet::Ipv4Address packet::FiveTuple::*field) {
+    return column(s, [&](std::uint32_t k, std::uint64_t idx) {
+      if (idx >= hosts.size()) return false;
+      out[k].flow.tuple.*field = packet::Ipv4Address(hosts[idx]);
+      return true;
+    });
+  };
+  const auto port_field = [&](Section s,
+                              std::uint16_t packet::FiveTuple::*field) {
+    return column(s, [&](std::uint32_t k, std::uint64_t v) {
+      out[k].flow.tuple.*field = static_cast<std::uint16_t>(v);
+      return v <= 0xFFFF;
+    });
+  };
+  if (!host_field(kSrcHost, &packet::FiveTuple::src) ||
+      !host_field(kDstHost, &packet::FiveTuple::dst) ||
+      !port_field(kSrcPort, &packet::FiveTuple::src_port) ||
+      !port_field(kDstPort, &packet::FiveTuple::dst_port))
+    return false;
+
+  // Protocols: a dictionary of at most 256 bytes, then one index per row.
+  {
+    SectionReader r(sec[kProto]);
+    const std::uint64_t count = r.varint_at_most(256);
+    const auto dict = r.bytes(count);
+    if (r.failed() ||
+        !read_varints(r, rows, [&](std::uint32_t k, std::uint64_t idx) {
+          if (idx >= dict.size()) return false;
+          out[k].flow.tuple.proto = dict[idx];
+          return true;
+        }))
+      return false;
+  }
+
+  // Direction and saw_dns bitsets, one bit per row.
+  const std::size_t bitset_bytes = (std::size_t{n} + 7) / 8;
+  const auto dir_bits = sec[kDirection];
+  const auto dns_bits = sec[kSawDns];
+  if (dir_bits.size() != bitset_bytes || dns_bits.size() != bitset_bytes)
+    return false;
+  for (std::uint32_t k = 0; k < k_rows; ++k) {
+    const std::uint32_t i = rows.at(k);
+    out[k].flow.initial_direction = (dir_bits[i / 8] >> (i % 8)) & 1
+                                        ? sim::Direction::kOutbound
+                                        : sim::Direction::kInbound;
+    out[k].flow.saw_dns = ((dns_bits[i / 8] >> (i % 8)) & 1) != 0;
+  }
+
+  using capture::FlowRecord;
+  if (!u64_field(kPackets, &FlowRecord::packets) ||
+      !u64_field(kBytes, &FlowRecord::bytes) ||
+      !u64_field(kPayloadBytes, &FlowRecord::payload_bytes) ||
+      !u64_field(kFwdPackets, &FlowRecord::fwd_packets) ||
+      !u64_field(kRevPackets, &FlowRecord::rev_packets) ||
+      !u32_field(kSynCount, &FlowRecord::syn_count) ||
+      !u32_field(kSynackCount, &FlowRecord::synack_count) ||
+      !u32_field(kFinCount, &FlowRecord::fin_count) ||
+      !u32_field(kRstCount, &FlowRecord::rst_count) ||
+      !u32_field(kPshCount, &FlowRecord::psh_count))
+    return false;
+
+  // Label packets: a presence mask, then one varint per set bit. A row
+  // a posting list skips is stepped over by its mask.
+  {
+    SectionReader r(sec[kLabels]);
+    std::uint32_t next = 0;
+    for (std::uint32_t k = 0; k < k_rows; ++k) {
+      if constexpr (!Rows::kAll) r.skip_label_rows(rows.at(k) - next);
+      const std::uint8_t mask = r.byte();
+      if (r.failed() || (mask >> packet::kTrafficLabelCount) != 0)
+        return false;
+      for (std::size_t l = 0; l < packet::kTrafficLabelCount; ++l)
+        if ((mask >> l) & 1) out[k].flow.label_packets[l] = r.varint();
+      next = rows.at(k) + 1;
+    }
+    if (!done(r)) return false;
+  }
+
+  return u32_field(kScenarioId, &FlowRecord::scenario_id);
+}
+
+// A keyed index section straight into the flat arrays: keys strictly
+// ascending and within their bound, offsets strictly ascending and
+// below n — exactly what PostingIndex::find() relies on. `rows` is
+// reserved once: a valid file lists at most 2n postings, and each
+// takes at least one payload byte.
+template <typename Key>
+bool read_keyed_index(std::span<const std::uint8_t> section,
+                      std::uint32_t n, PostingIndex<Key>& index) {
+  SectionReader r(section);
+  const std::uint64_t max_keys = std::uint64_t{n} * 2;
+  const std::uint64_t keys = r.varint_at_most(max_keys);
+  if (r.failed()) return false;
+  const auto key_cap = std::min<std::uint64_t>(keys, r.remaining());
+  index.keys.reserve(key_cap);
+  index.starts.reserve(key_cap + 1);
+  index.rows.reserve(std::min<std::uint64_t>(max_keys, r.remaining()));
+  std::uint64_t prev_key = 0;
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const std::uint64_t delta = r.varint();
+    const std::uint64_t key = i == 0 ? delta : prev_key + delta;
+    if (r.failed() || key > std::numeric_limits<Key>::max() ||
+        (i != 0 && key <= prev_key))
+      return false;
+    prev_key = key;
+    index.keys.push_back(static_cast<Key>(key));
+    index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
+    if (!append_offsets(r, n, index.rows) ||
+        index.rows.size() > std::numeric_limits<std::uint32_t>::max())
+      return false;
+  }
+  index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
+  return r.at_end();
+}
+
+// `key`'s posting list in a keyed index section, appended to `out`:
+// walk the keys, stepping over each earlier key's list by its length,
+// and stop at the first key not below `key` (an absent key appends
+// nothing). What the walk reads is checked as read_keyed_index checks
+// it; the lists it steps over are bounds-checked only.
+template <typename Key>
+bool find_posting(std::span<const std::uint8_t> section, std::uint32_t n,
+                  std::uint64_t key, std::vector<std::uint32_t>& out) {
+  SectionReader r(section);
+  const std::uint64_t keys = r.varint_at_most(std::uint64_t{n} * 2);
+  std::uint64_t prev_key = 0;
+  for (std::uint64_t i = 0; i < keys && !r.failed(); ++i) {
+    const std::uint64_t delta = r.varint();
+    const std::uint64_t at = i == 0 ? delta : prev_key + delta;
+    if (r.failed() || at > std::numeric_limits<Key>::max() ||
+        (i != 0 && at <= prev_key))
+      return false;
+    if (at == key) return append_offsets(r, n, out);
+    if (at > key) return true;
+    r.skip_varints(r.varint_at_most(n));
+    prev_key = at;
+  }
+  return !r.failed();
+}
+
+// The label index: one posting list per label, in label order.
+bool read_label_index(
+    std::span<const std::uint8_t> section, std::uint32_t n,
+    std::array<std::vector<std::uint32_t>, packet::kTrafficLabelCount>&
+        by_label) {
+  SectionReader r(section);
+  for (auto& posting : by_label)
+    if (!append_offsets(r, n, posting)) return false;
+  return r.at_end();
+}
+
+bool find_label_posting(std::span<const std::uint8_t> section,
+                        std::uint32_t n, std::uint64_t label,
+                        std::vector<std::uint32_t>& out) {
+  if (label >= packet::kTrafficLabelCount) return true;  // no such label
+  SectionReader r(section);
+  for (std::uint64_t l = 0; l < label && !r.failed(); ++l)
+    r.skip_varints(r.varint_at_most(n));
+  return !r.failed() && append_offsets(r, n, out);
+}
+
+// The flows of a decoded segment: rows [0, count) of a new Segment.
+std::shared_ptr<Segment> new_segment(std::uint32_t count) {
+  auto segment = std::make_shared<Segment>(count);
+  segment->flows.resize(count);  // within the reserved capacity
+  return segment;
+}
+
+std::shared_ptr<Segment> sealed(std::shared_ptr<Segment> segment,
+                                const SegmentZoneMap& zone) {
+  segment->sealed = true;
+  if (zone.flow_count > 0) {
+    segment->min_ts = zone.min_ts;
+    segment->max_ts = zone.max_ts;
+  }
+  return segment;
+}
+
+// Every row; the index sections too when `indexed`.
+Result<std::shared_ptr<Segment>> decode_all_rows(const Payload& p,
+                                                 bool indexed) {
+  const std::uint32_t n = p.zone.flow_count;
+  // Every row takes at least one byte of the id column, so a count the
+  // payload cannot hold fails before it allocates.
+  if (n > p.sections[kIds].size()) return corrupt();
+  auto segment = new_segment(n);
+  if (!decode_rows(p, AllRows{n}, segment->flows.data())) return corrupt();
+  if (indexed) {
+    if (!read_keyed_index(p.sections[kHostIndex], n, segment->by_host) ||
+        !read_keyed_index(p.sections[kPortIndex], n, segment->by_port) ||
+        !read_label_index(p.sections[kLabelIndex], n, segment->by_label))
+      return corrupt();
+  } else {
+    segment->projection.kind = SegmentProjection::Kind::kRows;
+  }
+  return sealed(std::move(segment), p.zone);
+}
+
+// Index `count` held rows, in order, under `key` alone.
+template <typename Key>
+void index_one_key(PostingIndex<Key>& index, std::uint64_t key,
+                   std::uint32_t count) {
+  if (count == 0) return;
+  index.keys = {static_cast<Key>(key)};
+  index.starts = {0, count};
+  index.rows.resize(count);
+  std::iota(index.rows.begin(), index.rows.end(), 0u);
 }
 
 struct TierMetrics {
@@ -143,6 +646,27 @@ Result<std::vector<std::uint8_t>> read_whole_file(const std::string& path) {
 }
 #endif
 
+// Map `path`, decode it with `decode`, and count the load: a
+// store.cold_loads tick and a store_load_ns sample, or a
+// store.cold_load_failures tick.
+template <typename Decode>
+Result<std::shared_ptr<const Segment>> timed_load(const std::string& path,
+                                                  Decode&& decode) {
+  auto& metrics = TierMetrics::get();
+  const auto t0 = obs::monotonic_ns();
+  auto mapped = MappedFile::open(path);
+  auto loaded = mapped.ok() ? decode(mapped.value().bytes())
+                            : Result<std::shared_ptr<Segment>>(
+                                  mapped.error());
+  if (!loaded.ok()) {
+    metrics.cold_load_failures.increment();
+    return loaded.error();
+  }
+  metrics.cold_loads.increment();
+  metrics.load_ns.observe(obs::monotonic_ns() - t0);
+  return std::shared_ptr<const Segment>(std::move(loaded).value());
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- encode
@@ -172,9 +696,14 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
   }
 
   ByteWriter payload(static_cast<std::size_t>(n) * 24 + 256);
-  put_varint(payload, n);
 
-  std::size_t col_start = payload.size();
+  // Each section's end offset, in file order; the directory is built
+  // from them.
+  std::array<std::uint64_t, kSegmentSections + 1> bounds{};
+  std::size_t sections = 0;
+  const auto end_section = [&] { bounds[++sections] = payload.size(); };
+
+  std::size_t col_start = 0;
   const auto column = [&](const char* name, std::uint64_t memory_bytes) {
     if (info != nullptr)
       info->columns.push_back(
@@ -188,6 +717,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
     put_varint(payload, i == 0 ? flows[i].id
                                : zigzag(static_cast<std::int64_t>(
                                      flows[i].id - flows[i - 1].id)));
+  end_section();
   column("flow_id", static_cast<std::uint64_t>(n) * 8);
 
   // Timestamps: first_ts as offset from the zone minimum (always
@@ -196,12 +726,14 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
     put_varint(payload,
                static_cast<std::uint64_t>(s.flow.first_ts.nanos()) -
                    static_cast<std::uint64_t>(zone.min_ts.nanos()));
+  end_section();
   column("first_ts", static_cast<std::uint64_t>(n) * 8);
   for (const auto& s : flows)
     put_varint(payload,
                zigzag(static_cast<std::int64_t>(
                    static_cast<std::uint64_t>(s.flow.last_ts.nanos()) -
                    static_cast<std::uint64_t>(s.flow.first_ts.nanos()))));
+  end_section();
   column("duration", static_cast<std::uint64_t>(n) * 8);
 
   // Host dictionary: sorted unique src+dst addresses, delta-encoded;
@@ -217,6 +749,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
   put_varint(payload, hosts.size());
   for (std::size_t i = 0; i < hosts.size(); ++i)
     put_varint(payload, i == 0 ? hosts[i] : hosts[i] - hosts[i - 1]);
+  end_section();
   column("host_dict", 0);
   const auto host_index = [&hosts](std::uint32_t value) {
     return static_cast<std::uint64_t>(
@@ -225,13 +758,17 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
   };
   for (const auto& s : flows)
     put_varint(payload, host_index(s.flow.tuple.src.value()));
+  end_section();
   column("src_host", static_cast<std::uint64_t>(n) * 4);
   for (const auto& s : flows)
     put_varint(payload, host_index(s.flow.tuple.dst.value()));
+  end_section();
   column("dst_host", static_cast<std::uint64_t>(n) * 4);
 
   for (const auto& s : flows) put_varint(payload, s.flow.tuple.src_port);
+  end_section();
   for (const auto& s : flows) put_varint(payload, s.flow.tuple.dst_port);
+  end_section();
   column("ports", static_cast<std::uint64_t>(n) * 4);
 
   // Protocol dictionary (a campus sees a handful of IP protocols).
@@ -248,6 +785,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
                    std::lower_bound(protos.begin(), protos.end(),
                                     s.flow.tuple.proto) -
                    protos.begin()));
+  end_section();
   column("proto", static_cast<std::uint64_t>(n));
 
   // Direction and saw_dns, one bit per flow each.
@@ -261,6 +799,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
       }
     }
     if (n % 8 != 0) payload.u8(acc);
+    end_section();
   };
   put_bitset([](const StoredFlow& s) {
     return s.flow.initial_direction == sim::Direction::kOutbound;
@@ -270,6 +809,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
 
   const auto u64_column = [&](auto&& field_of) {
     for (const auto& s : flows) put_varint(payload, field_of(s.flow));
+    end_section();
   };
   u64_column([](const capture::FlowRecord& f) { return f.packets; });
   u64_column([](const capture::FlowRecord& f) { return f.bytes; });
@@ -296,11 +836,12 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
       if (s.flow.label_packets[l] != 0)
         put_varint(payload, s.flow.label_packets[l]);
   }
+  end_section();
   column("labels", static_cast<std::uint64_t>(n) * 40);
 
   // Scenario instance ids: background flows carry 0, so the column is
   // one byte per flow outside attack windows.
-  for (const auto& s : flows) put_varint(payload, s.flow.scenario_id);
+  u64_column([](const capture::FlowRecord& f) { return f.scenario_id; });
   column("scenario_id", static_cast<std::uint64_t>(n) * 4);
 
   // Inverted indexes, as seal() built them: keys ascending, each
@@ -313,6 +854,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
       put_varint(payload, i == 0 ? key : key - index.keys[i - 1]);
       encode_offsets(payload, index.postings(i));
     }
+    end_section();
     return index.rows.size() * sizeof(std::uint32_t) +
            index.size() * kHotBytesPerIndexKey;
   };
@@ -323,6 +865,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
     encode_offsets(payload, offsets);
     label_entries += offsets.size();
   }
+  end_section();
   column("index_label", label_entries * sizeof(std::uint32_t));
 
   ByteWriter header(kSegmentFileHeaderBytes);
@@ -330,7 +873,7 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
   header.u32(kSegmentFileVersion);
   header.u32(0);  // flags, reserved
   header.u64(payload.size());
-  header.u64(fnv1a(payload.view()));
+  header.u64(checksum64(payload.view()));
   header.u32(zone.flow_count);
   header.u64(static_cast<std::uint64_t>(zone.min_ts.nanos()));
   header.u64(static_cast<std::uint64_t>(zone.max_ts.nanos()));
@@ -339,6 +882,10 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
   header.u64(zone.packets);
   header.u64(zone.bytes);
   for (const auto lf : zone.label_flows) header.u64(lf);
+  for (std::size_t s = 0; s < kSegmentSections; ++s) {
+    header.u64(bounds[s]);
+    header.u64(bounds[s + 1] - bounds[s]);
+  }
   header.u64(fnv1a(header.view()));
 
   std::vector<std::uint8_t> out;
@@ -373,188 +920,59 @@ Result<SegmentZoneMap> decode_zone_map(std::span<const std::uint8_t> file) {
   return header.value().zone;
 }
 
+// The checksum gate means the checks below "cannot" fail on a file we
+// wrote; every check still runs so decode stays total on inputs that
+// collide, come from a newer writer, or were crafted.
 Result<std::shared_ptr<Segment>> decode_segment(
     std::span<const std::uint8_t> file) {
-  auto parsed = parse_header(file);
-  if (!parsed.ok()) return parsed.error();
-  const ParsedHeader& header = parsed.value();
-  const auto payload = file.subspan(kSegmentFileHeaderBytes);
-  if (fnv1a(payload) != header.payload_fnv)
-    return Error::make("segment_checksum", "payload checksum mismatch");
+  auto payload = open_payload(file);
+  if (!payload.ok()) return payload.error();
+  return decode_all_rows(payload.value(), /*indexed=*/true);
+}
 
-  // The checksum gate means everything below "cannot" fail on a file
-  // we wrote; every check still runs so decode stays total on inputs
-  // that collide, come from a newer writer, or were crafted.
-  const auto corrupt = [] {
-    return Error::make("segment_corrupt", "malformed segment payload");
-  };
-  Decoder d(payload);
-  const std::uint64_t n64 = d.varint();
-  if (d.failed || n64 != header.zone.flow_count || n64 > payload.size())
+Result<std::shared_ptr<Segment>> decode_projection(
+    std::span<const std::uint8_t> file, IndexKind plan, std::uint64_t key) {
+  auto opened = open_payload(file);
+  if (!opened.ok()) return opened.error();
+  const Payload& p = opened.value();
+  if (plan == IndexKind::kTimeScan)
+    return decode_all_rows(p, /*indexed=*/false);
+
+  const std::uint32_t n = p.zone.flow_count;
+  std::vector<std::uint32_t> rows;
+  bool ok = false;
+  switch (plan) {
+    case IndexKind::kHost:
+      ok = find_posting<std::uint32_t>(p.sections[kHostIndex], n, key, rows);
+      break;
+    case IndexKind::kPort:
+      ok = find_posting<std::uint16_t>(p.sections[kPortIndex], n, key, rows);
+      break;
+    case IndexKind::kLabel:
+      ok = find_label_posting(p.sections[kLabelIndex], n, key, rows);
+      break;
+    case IndexKind::kTimeScan:
+      break;
+  }
+  if (!ok) return corrupt();
+  const auto count = static_cast<std::uint32_t>(rows.size());
+  auto segment = new_segment(count);
+  if (!decode_rows(p, PostingRows{rows}, segment->flows.data()))
     return corrupt();
-  const auto n = static_cast<std::uint32_t>(n64);
-
-  auto segment = std::make_shared<Segment>(n);
-  segment->flows.resize(n);  // within the reserved capacity: no realloc
-  auto& flows = segment->flows;
-
-  std::uint64_t prev_id = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t raw = d.varint();
-    prev_id = i == 0 ? raw
-                     : prev_id + static_cast<std::uint64_t>(unzigzag(raw));
-    flows[i].id = prev_id;
+  switch (plan) {
+    case IndexKind::kHost: index_one_key(segment->by_host, key, count); break;
+    case IndexKind::kPort: index_one_key(segment->by_port, key, count); break;
+    case IndexKind::kLabel:
+      if (count > 0) {
+        auto& posting = segment->by_label[key];
+        posting.resize(count);
+        std::iota(posting.begin(), posting.end(), 0u);
+      }
+      break;
+    case IndexKind::kTimeScan: break;
   }
-  const std::uint64_t min_ts_u =
-      static_cast<std::uint64_t>(header.zone.min_ts.nanos());
-  for (std::uint32_t i = 0; i < n; ++i)
-    flows[i].flow.first_ts = Timestamp::from_nanos(
-        static_cast<std::int64_t>(min_ts_u + d.varint()));
-  for (std::uint32_t i = 0; i < n; ++i)
-    flows[i].flow.last_ts = Timestamp::from_nanos(static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(flows[i].flow.first_ts.nanos()) +
-        static_cast<std::uint64_t>(unzigzag(d.varint()))));
-  if (d.failed) return corrupt();
-
-  const std::uint64_t dict_size =
-      d.varint_at_most(static_cast<std::uint64_t>(n) * 2);
-  std::vector<std::uint32_t> hosts;
-  hosts.reserve(dict_size);
-  std::uint64_t prev_host = 0;
-  for (std::uint64_t i = 0; i < dict_size; ++i) {
-    const std::uint64_t delta = d.varint();
-    const std::uint64_t v = i == 0 ? delta : prev_host + delta;
-    if (d.failed || v > std::numeric_limits<std::uint32_t>::max() ||
-        (i != 0 && delta == 0))
-      return corrupt();
-    hosts.push_back(static_cast<std::uint32_t>(v));
-    prev_host = v;
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t idx = d.varint();
-    if (d.failed || idx >= hosts.size()) return corrupt();
-    flows[i].flow.tuple.src = packet::Ipv4Address(hosts[idx]);
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t idx = d.varint();
-    if (d.failed || idx >= hosts.size()) return corrupt();
-    flows[i].flow.tuple.dst = packet::Ipv4Address(hosts[idx]);
-  }
-  for (std::uint32_t i = 0; i < n; ++i)
-    flows[i].flow.tuple.src_port =
-        static_cast<std::uint16_t>(d.varint_at_most(0xFFFF));
-  for (std::uint32_t i = 0; i < n; ++i)
-    flows[i].flow.tuple.dst_port =
-        static_cast<std::uint16_t>(d.varint_at_most(0xFFFF));
-  if (d.failed) return corrupt();
-
-  const std::uint64_t proto_count = d.varint_at_most(256);
-  if (d.failed) return corrupt();
-  const auto proto_dict = d.r.bytes(proto_count);
-  if (proto_dict.size() != proto_count) return corrupt();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t idx = d.varint();
-    if (d.failed || idx >= proto_dict.size()) return corrupt();
-    flows[i].flow.tuple.proto = proto_dict[idx];
-  }
-
-  const std::size_t bitset_bytes = (n + 7) / 8;
-  const auto dir_bits = d.r.bytes(bitset_bytes);
-  const auto dns_bits = d.r.bytes(bitset_bytes);
-  if (dir_bits.size() != bitset_bytes || dns_bits.size() != bitset_bytes)
-    return corrupt();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    flows[i].flow.initial_direction =
-        (dir_bits[i / 8] >> (i % 8)) & 1 ? sim::Direction::kOutbound
-                                         : sim::Direction::kInbound;
-    flows[i].flow.saw_dns = ((dns_bits[i / 8] >> (i % 8)) & 1) != 0;
-  }
-
-  const auto u64_column = [&](auto&& assign) {
-    for (std::uint32_t i = 0; i < n; ++i) assign(flows[i].flow, d.varint());
-  };
-  u64_column([](capture::FlowRecord& f, std::uint64_t v) { f.packets = v; });
-  u64_column([](capture::FlowRecord& f, std::uint64_t v) { f.bytes = v; });
-  u64_column(
-      [](capture::FlowRecord& f, std::uint64_t v) { f.payload_bytes = v; });
-  u64_column(
-      [](capture::FlowRecord& f, std::uint64_t v) { f.fwd_packets = v; });
-  u64_column(
-      [](capture::FlowRecord& f, std::uint64_t v) { f.rev_packets = v; });
-  if (d.failed) return corrupt();
-  const auto u32_column = [&](auto&& assign) {
-    for (std::uint32_t i = 0; i < n; ++i)
-      assign(flows[i].flow, static_cast<std::uint32_t>(
-                                d.varint_at_most(0xFFFFFFFFULL)));
-  };
-  u32_column([](capture::FlowRecord& f, std::uint32_t v) { f.syn_count = v; });
-  u32_column(
-      [](capture::FlowRecord& f, std::uint32_t v) { f.synack_count = v; });
-  u32_column([](capture::FlowRecord& f, std::uint32_t v) { f.fin_count = v; });
-  u32_column([](capture::FlowRecord& f, std::uint32_t v) { f.rst_count = v; });
-  u32_column([](capture::FlowRecord& f, std::uint32_t v) { f.psh_count = v; });
-  if (d.failed) return corrupt();
-
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint8_t mask = d.r.u8();
-    if (!d.r.ok() || (mask >> packet::kTrafficLabelCount) != 0)
-      return corrupt();
-    for (std::size_t l = 0; l < packet::kTrafficLabelCount; ++l)
-      if ((mask >> l) & 1) flows[i].flow.label_packets[l] = d.varint();
-  }
-  if (d.failed) return corrupt();
-
-  for (std::uint32_t i = 0; i < n; ++i)
-    flows[i].flow.scenario_id =
-        static_cast<std::uint32_t>(d.varint_at_most(0xFFFFFFFFULL));
-  if (d.failed) return corrupt();
-
-  // The index sections decode straight into the flat arrays: keys
-  // strictly ascending and within their bound, offsets strictly
-  // ascending and below n — exactly what PostingIndex::find() relies
-  // on. `rows` is reserved once: a valid file lists at most 2n
-  // postings, and each takes at least one payload byte.
-  const auto read_keyed_index = [&](auto& index) {
-    using Key = typename std::decay_t<decltype(index)>::key_type;
-    const std::uint64_t max_keys = static_cast<std::uint64_t>(n) * 2;
-    const std::uint64_t keys = d.varint_at_most(max_keys);
-    if (d.failed) return false;
-    const auto key_cap = std::min<std::uint64_t>(keys, d.r.remaining());
-    index.keys.reserve(key_cap);
-    index.starts.reserve(key_cap + 1);
-    index.rows.reserve(std::min<std::uint64_t>(max_keys, d.r.remaining()));
-    std::uint64_t prev_key = 0;
-    for (std::uint64_t i = 0; i < keys; ++i) {
-      const std::uint64_t delta = d.varint();
-      const std::uint64_t key = i == 0 ? delta : prev_key + delta;
-      if (d.failed || key > std::numeric_limits<Key>::max() ||
-          (i != 0 && key <= prev_key))
-        return false;
-      prev_key = key;
-      index.keys.push_back(static_cast<Key>(key));
-      index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
-      if (!append_offsets(d, n, index.rows) ||
-          index.rows.size() > std::numeric_limits<std::uint32_t>::max())
-        return false;
-    }
-    index.starts.push_back(static_cast<std::uint32_t>(index.rows.size()));
-    return true;
-  };
-  if (!read_keyed_index(segment->by_host) ||
-      !read_keyed_index(segment->by_port))
-    return corrupt();
-  for (auto& posting : segment->by_label)
-    if (!append_offsets(d, n, posting)) return corrupt();
-
-  if (d.failed || d.r.offset() != payload.size())
-    return corrupt();  // trailing garbage or short payload
-
-  segment->sealed = true;
-  if (n > 0) {
-    segment->min_ts = header.zone.min_ts;
-    segment->max_ts = header.zone.max_ts;
-  }
-  return segment;
+  segment->projection = {SegmentProjection::Kind::kKey, plan, key};
+  return sealed(std::move(segment), p.zone);
 }
 
 // --------------------------------------------------------------- file
@@ -652,19 +1070,29 @@ ColdSegmentHandle::~ColdSegmentHandle() {
 
 Result<std::shared_ptr<const Segment>> ColdSegmentHandle::load() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto live = cache_.lock()) return live;
-  auto& metrics = TierMetrics::get();
-  const auto t0 = obs::monotonic_ns();
-  auto loaded = read_segment_file(path_);
-  if (!loaded.ok()) {
-    metrics.cold_load_failures.increment();
-    return loaded.error();
+  if (auto live = whole_.lock()) return live;
+  auto loaded = timed_load(path_, [](std::span<const std::uint8_t> file) {
+    return decode_segment(file);
+  });
+  if (loaded.ok()) whole_ = loaded.value();
+  return loaded;
+}
+
+Result<std::shared_ptr<const Segment>> ColdSegmentHandle::load(
+    IndexKind plan, std::uint64_t key) const {
+  const auto project = [plan, key](std::span<const std::uint8_t> file) {
+    return decode_projection(file, plan, key);
+  };
+  std::unique_lock<std::mutex> lock(mu_);
+  if (auto live = whole_.lock()) return live;
+  if (plan != IndexKind::kTimeScan) {
+    lock.unlock();  // private to this caller: nothing to share or wait on
+    return timed_load(path_, project);
   }
-  metrics.cold_loads.increment();
-  metrics.load_ns.observe(obs::monotonic_ns() - t0);
-  std::shared_ptr<const Segment> segment = std::move(loaded).value();
-  cache_ = segment;
-  return segment;
+  if (auto live = rows_.lock()) return live;
+  auto loaded = timed_load(path_, project);
+  if (loaded.ok()) rows_ = loaded.value();
+  return loaded;
 }
 
 }  // namespace campuslab::store

@@ -2,12 +2,14 @@
 //
 // LEB128 varints, zigzag signed mapping, a sticky-failure varint
 // decoder and the varint-length string codec — the primitives all three
-// framed formats use: CLSEG01 segment files, the CLRP01 shard wire and
+// framed formats use: CLSEG02 segment files, the CLRP01 shard wire and
 // the CLMRG01 model registry. One implementation means one set of
-// totality guarantees: a varint is rejected as overlong past 10 bytes
-// or non-minimal in its final byte, every read is bounds-checked
+// totality guarantees: a varint is rejected when it runs past 10 bytes
+// or its 10th byte holds more than bit 63, every read is bounds-checked
 // through ByteReader, and failure is sticky so callers validate once
-// per message instead of once per field.
+// per message instead of once per field. Non-minimal varints are
+// accepted: {0x80, 0x00} and a ten-byte zero both decode to 0, so a
+// decoded value need not re-encode to the bytes it came from.
 #pragma once
 
 #include <cstdint>

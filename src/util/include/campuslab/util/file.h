@@ -1,4 +1,4 @@
-// Write-then-rename, the one way a durable file (a CLSEG01 segment
+// Write-then-rename, the one way a durable file (a CLSEG02 segment
 // spill, the CLMRG01 registry) is replaced.
 #pragma once
 

@@ -1,9 +1,10 @@
-// campuslab::util — the one FNV-1a implementation.
+// campuslab::util — the one FNV-1a implementation, and the word
+// checksum for large payloads.
 //
 // FNV-1a (64-bit) is CampusLab's workhorse non-cryptographic hash: the
 // capture spreader uses it to shard frames that carry no 5-tuple, the
-// three framed formats (CLSEG01 segment files, the CLRP01 wire and the
-// CLMRG01 registry) use it for header and payload checksums, the
+// three framed formats (CLSEG02 segment headers, the CLRP01 wire and
+// the CLMRG01 registry) use it for header and payload checksums, the
 // fault injector salts per-site decisions with it, and the store
 // cluster's consistent-hash ring places keyspace slices with it. All of
 // those used to carry private copies; they now share these functions,
@@ -15,9 +16,16 @@
 // (h = (h ^ v) * prime). That is the spreader's historical tail-mix
 // semantics, not byte-at-a-time FNV over the word's bytes; use the
 // span/string_view overloads when byte-exact FNV-1a is required.
+//
+// FNV-1a folds one byte per multiply, about 1.5 ns per byte: fine for a
+// header, a quarter of a cold segment load when it covers a 470 KB
+// payload. `checksum64` covers those payloads a word at a time instead.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -76,6 +84,70 @@ constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x *= 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return x;
+}
+
+namespace detail {
+
+inline constexpr std::uint64_t kSumPrime1 = 0x9E3779B185EBCA87ULL;
+inline constexpr std::uint64_t kSumPrime2 = 0xC2B2AE3D27D4EB4FULL;
+
+/// One checksum step (xxHash64's round). For a fixed word it is a
+/// bijection of `acc`, and for a fixed `acc` an injection of the word:
+/// the multipliers are odd, and add and rotate are invertible.
+constexpr std::uint64_t sum_round(std::uint64_t acc,
+                                  std::uint64_t word) noexcept {
+  acc += word * kSumPrime2;
+  acc = (acc << 31) | (acc >> 33);
+  return acc * kSumPrime1;
+}
+
+/// Eight bytes as a little-endian word, at any alignment.
+inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big)
+    v = __builtin_bswap64(v);
+  return v;
+}
+
+}  // namespace detail
+
+/// Word-at-a-time 64-bit checksum of a buffer (the CLSEG02 payload
+/// sum). Four lanes each fold every fourth little-endian 64-bit word
+/// with detail::sum_round, so a core keeps four multiply chains in
+/// flight; then the length, the four lanes and the tail words (the last
+/// one zero-padded) fold into one state the same way, and mix64
+/// finishes it. Every fold is a bijection of the state for a fixed word
+/// and an injection of the word for a fixed state, so for a given
+/// length a change confined to one aligned 8-byte word, such as any one
+/// damaged byte, always changes the sum. Not FNV-1a, and not any
+/// published hash's exact output.
+inline std::uint64_t checksum64(std::span<const std::uint8_t> data,
+                                std::uint64_t seed = 0) noexcept {
+  using detail::kSumPrime1;
+  using detail::kSumPrime2;
+  using detail::load_le64;
+  using detail::sum_round;
+  const std::uint8_t* p = data.data();
+  std::size_t left = data.size();
+  std::uint64_t lane[4] = {seed + kSumPrime1 + kSumPrime2, seed + kSumPrime2,
+                           seed, seed - kSumPrime1};
+  for (; left >= 32; left -= 32, p += 32) {
+    lane[0] = sum_round(lane[0], load_le64(p));
+    lane[1] = sum_round(lane[1], load_le64(p + 8));
+    lane[2] = sum_round(lane[2], load_le64(p + 16));
+    lane[3] = sum_round(lane[3], load_le64(p + 24));
+  }
+  std::uint64_t h = sum_round(seed, data.size());
+  for (const std::uint64_t v : lane) h = sum_round(h, v);
+  for (; left >= 8; left -= 8, p += 8) h = sum_round(h, load_le64(p));
+  if (left > 0) {
+    std::uint64_t tail = 0;
+    for (std::size_t i = 0; i < left; ++i)
+      tail |= std::uint64_t{p[i]} << (8 * i);
+    h = sum_round(h, tail);
+  }
+  return mix64(h);
 }
 
 }  // namespace campuslab::util

@@ -1,9 +1,9 @@
-// One hostile-input harness for the three framed formats: CLSEG01
+// One hostile-input harness for the three framed formats: CLSEG02
 // segment files, CLRP01 wire frames and the CLMRG01 model registry.
 //
 // Each format is a small trait: valid records (files in four sizes, or
 // one frame per message type), decode and encode, the header offsets of
-// its version byte, payload length, payload FNV-1a and one spare byte
+// its version byte, payload length, payload checksum and one spare byte
 // no field check reads, and its error prefix and extra codes. Four
 // typed tests run on every format: a stable error-code table, a
 // byte-by-byte truncation ladder, a seeded storm of structural
@@ -14,7 +14,8 @@
 // binary) or an allocation bomb. Every failure names the format, the
 // seed and the iteration, so it replays; set CAMPUSLAB_FUZZ_SEED to add
 // a seed. Format-specific tests that reuse the traits follow the typed
-// suite.
+// suite; for CLSEG02 they include the plan projections over the same
+// resealed storm.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +23,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -154,21 +157,33 @@ void put_be(Bytes& bytes, std::size_t at, std::size_t width,
     bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * (width - 1 - i)));
 }
 
-// Make a tampered record's header agree with its payload: rewrite the
-// payload length, the payload FNV-1a and the header FNV-1a (the last 8
-// header bytes, over the bytes before them), so decoding reaches the
-// structural validators behind the checksum gate.
+std::uint64_t get_be64(const Bytes& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) v = v << 8 | bytes[at + i];
+  return v;
+}
+
+// Make a tampered record's header agree with its payload, so decoding
+// reaches the structural validators behind the checksum gate. A format
+// with its own reseal() (CLSEG02, whose header also holds a section
+// directory) supplies it; the default rewrites the payload length, the
+// payload FNV-1a and the header FNV-1a (the last 8 header bytes, over
+// the bytes before them).
 template <typename F>
 void reseal(Bytes& bytes) {
-  const View all(bytes);
-  const std::size_t h = F::kHeaderBytes;
-  put_be(bytes, F::kLengthAt, F::kLengthBytes, bytes.size() - h);
-  put_be(bytes, F::kPayloadSumAt, 8, util::fnv1a(all.subspan(h)));
-  put_be(bytes, h - 8, 8, util::fnv1a(all.first(h - 8)));
+  if constexpr (requires { F::reseal(bytes); }) {
+    F::reseal(bytes);
+  } else {
+    const View all(bytes);
+    const std::size_t h = F::kHeaderBytes;
+    put_be(bytes, F::kLengthAt, F::kLengthBytes, bytes.size() - h);
+    put_be(bytes, F::kPayloadSumAt, 8, util::fnv1a(all.subspan(h)));
+    put_be(bytes, h - 8, 8, util::fnv1a(all.first(h - 8)));
+  }
 }
 
 // Checks a format runs on damaged bytes besides decode, given the
-// record they came from (CLSEG01: the zone map, read without the
+// record they came from (CLSEG02: the zone map, read without the
 // payload).
 template <typename F>
 ::testing::AssertionResult side_checks(View bytes, View original) {
@@ -178,7 +193,7 @@ template <typename F>
     return ::testing::AssertionSuccess();
 }
 
-// ---------------------------------------------------------- CLSEG01
+// ---------------------------------------------------------- CLSEG02
 
 FlowRecord sample_flow(Rng& rng, double start_s) {
   FlowRecord f;
@@ -205,7 +220,7 @@ FlowRecord sample_flow(Rng& rng, double start_s) {
 }
 
 struct SegmentFormat {
-  static constexpr const char* kName = "CLSEG01";
+  static constexpr const char* kName = "CLSEG02";
   static constexpr const char* kPrefix = "segment_";
   static constexpr std::array kExtraCodes{"io"};
   static constexpr std::size_t kHeaderBytes = store::kSegmentFileHeaderBytes;
@@ -213,6 +228,10 @@ struct SegmentFormat {
   static constexpr std::size_t kLengthAt = 16, kLengthBytes = 8;
   static constexpr std::size_t kPayloadSumAt = 24;
   static constexpr std::size_t kSpareAt = 15;  // the reserved flags
+  // The section directory: (offset u64, length u64) per section, just
+  // before the header's FNV-1a.
+  static constexpr std::size_t kDirectoryAt =
+      kHeaderBytes - 8 - 16 * store::kSegmentSections;
   using Value = std::shared_ptr<store::Segment>;
 
   // A valid file image, indexed by the store's own Segment::seal().
@@ -239,6 +258,34 @@ struct SegmentFormat {
   }
   static Result<Value> read_file(const std::string& path) {
     return store::read_segment_file(path);
+  }
+  // Recompute the directory for the payload's new length (a cut
+  // shortens the section it lands in and empties the ones after it;
+  // appended bytes join the last section), then the payload length,
+  // the payload checksum64 and the header FNV-1a.
+  static void reseal(Bytes& bytes) {
+    const std::uint64_t size = bytes.size() - kHeaderBytes;
+    std::uint64_t at = 0;
+    for (std::size_t s = 0; s < store::kSegmentSections; ++s) {
+      const std::size_t entry = kDirectoryAt + 16 * s;
+      const std::uint64_t length =
+          s + 1 == store::kSegmentSections
+              ? size - at
+              : std::min(get_be64(bytes, entry + 8), size - at);
+      put_be(bytes, entry, 8, at);
+      put_be(bytes, entry + 8, 8, length);
+      at += length;
+    }
+    reseal_checksums(bytes);
+  }
+  // The payload length and both checksums, the directory as it stands.
+  static void reseal_checksums(Bytes& bytes) {
+    const View all(bytes);
+    put_be(bytes, kLengthAt, kLengthBytes, bytes.size() - kHeaderBytes);
+    put_be(bytes, kPayloadSumAt, 8,
+           util::checksum64(all.subspan(kHeaderBytes)));
+    put_be(bytes, kHeaderBytes - 8, 8,
+           util::fnv1a(all.first(kHeaderBytes - 8)));
   }
   // The zone map decodes only from a whole header identical to the
   // original's: the header checksum guards it.
@@ -628,7 +675,235 @@ TYPED_TEST(FramedCorruption, ResealedMutationStorm) {
   }
 }
 
-// ------------------------------------------- format-specific: CLSEG01
+// ------------------------------------------- format-specific: CLSEG02
+
+// Every field of two stored rows, equal.
+bool same_row(const store::StoredFlow& a, const store::StoredFlow& b) {
+  const FlowRecord& x = a.flow;
+  const FlowRecord& y = b.flow;
+  return a.id == b.id && x.tuple == y.tuple &&
+         x.initial_direction == y.initial_direction &&
+         x.first_ts == y.first_ts && x.last_ts == y.last_ts &&
+         x.packets == y.packets && x.bytes == y.bytes &&
+         x.payload_bytes == y.payload_bytes &&
+         x.fwd_packets == y.fwd_packets && x.rev_packets == y.rev_packets &&
+         x.syn_count == y.syn_count && x.synack_count == y.synack_count &&
+         x.fin_count == y.fin_count && x.rst_count == y.rst_count &&
+         x.psh_count == y.psh_count && x.saw_dns == y.saw_dns &&
+         x.label_packets == y.label_packets &&
+         x.scenario_id == y.scenario_id;
+}
+
+struct Probe {
+  store::IndexKind plan;
+  std::uint64_t key;
+};
+
+// A time scan, then each index plan with a key the file holds (when it
+// holds any) and a random one.
+std::vector<Probe> probes_for(const store::Segment& original, Rng& rng) {
+  using store::IndexKind;
+  std::vector<Probe> out{{IndexKind::kTimeScan, 0}};
+  const auto add = [&](IndexKind plan, const auto& index,
+                       std::uint64_t random_key) {
+    if (index.size() > 0)
+      out.push_back({plan, index.keys[rng.below(index.size())]});
+    out.push_back({plan, random_key});
+  };
+  add(IndexKind::kHost, original.by_host,
+      Ipv4Address(10, 2, static_cast<std::uint8_t>(rng.below(5)),
+                  static_cast<std::uint8_t>(rng.below(40)))
+          .value());
+  add(IndexKind::kPort, original.by_port, rng.below(65536));
+  out.push_back({IndexKind::kLabel, rng.below(packet::kTrafficLabelCount)});
+  return out;
+}
+
+// A projection against the whole decode of the same file: a time scan
+// holds every row and no index; an index read holds exactly the rows
+// the whole decode's index names for its key, in that order, indexed
+// under the key as rows 0..k-1.
+::testing::AssertionResult projection_matches(const store::Segment& whole,
+                                              const store::Segment& part,
+                                              const Probe& probe) {
+  using store::IndexKind;
+  using Kind = store::SegmentProjection::Kind;
+  std::vector<std::uint32_t> named;
+  std::span<const std::uint32_t> held;  // the part's own index answer
+  switch (probe.plan) {
+    case IndexKind::kHost: {
+      const auto key = static_cast<std::uint32_t>(probe.key);
+      const auto rows = whole.by_host.find(key);
+      named.assign(rows.begin(), rows.end());
+      held = part.by_host.find(key);
+      break;
+    }
+    case IndexKind::kPort: {
+      const auto key = static_cast<std::uint16_t>(probe.key);
+      const auto rows = whole.by_port.find(key);
+      named.assign(rows.begin(), rows.end());
+      held = part.by_port.find(key);
+      break;
+    }
+    case IndexKind::kLabel:
+      named = whole.by_label[probe.key];
+      held = part.by_label[probe.key];
+      break;
+    case IndexKind::kTimeScan:
+      named.resize(whole.flows.size());
+      std::iota(named.begin(), named.end(), 0u);
+      if (part.projection.kind != Kind::kRows || part.by_host.size() != 0 ||
+          part.by_port.size() != 0)
+        return ::testing::AssertionFailure() << "time scan kept an index";
+      break;
+  }
+  if (probe.plan != IndexKind::kTimeScan) {
+    if (part.projection.kind != Kind::kKey ||
+        part.projection.plan != probe.plan ||
+        part.projection.key != probe.key)
+      return ::testing::AssertionFailure() << "wrong projection tag";
+    if (held.size() != named.size())
+      return ::testing::AssertionFailure()
+             << "index holds " << held.size() << " rows, not "
+             << named.size();
+    for (std::uint32_t k = 0; k < held.size(); ++k)
+      if (held[k] != k)
+        return ::testing::AssertionFailure() << "held row " << k << " at "
+                                             << held[k];
+  }
+  if (part.flows.size() != named.size())
+    return ::testing::AssertionFailure()
+           << part.flows.size() << " rows, not " << named.size();
+  for (std::size_t k = 0; k < named.size(); ++k)
+    if (!same_row(part.flows[k], whole.flows[named[k]]))
+      return ::testing::AssertionFailure() << "row " << k << " (file row "
+                                           << named[k] << ") differs";
+  return ::testing::AssertionSuccess();
+}
+
+// The plan projections over the resealed mutation storm. A projection
+// checks both checksums as the whole decode does, then reads its own
+// index section and each column only up to its last row, and it checks
+// every value it reads as the whole decode checks it. So where the
+// whole decode succeeds, every projection succeeds and holds exactly
+// the whole decode's rows at the offsets its index names; where the
+// whole decode fails, a projection fails with a known code or, having
+// never reached the damage, succeeds. None may read past the file: the
+// ASAN job runs this binary.
+TEST(SegmentCorruption, ProjectionsMatchTheWholeDecodeOrFailCleanly) {
+  for (const std::uint64_t seed : fuzz_seeds()) {
+    Rng rng(seed);
+    const auto corpus = SegmentFormat::corpus(rng);
+    std::vector<std::shared_ptr<store::Segment>> originals;
+    for (const Bytes& file : corpus) {
+      auto decoded = store::decode_segment(file);
+      ASSERT_TRUE(decoded.ok());
+      originals.push_back(std::move(decoded).value());
+    }
+    std::size_t matched = 0;
+    for (int iter = 0; iter < kResealedIterations; ++iter) {
+      const std::size_t pick = rng.below(corpus.size());
+      Bytes bytes = corpus[pick];
+      if (iter % 8 != 0)
+        mutate_payload(rng, bytes, SegmentFormat::kHeaderBytes);
+      SegmentFormat::reseal(bytes);
+      const auto whole = store::decode_segment(bytes);
+      ASSERT_TRUE(whole.ok() || whole.error().code == "segment_corrupt")
+          << where<SegmentFormat>(seed, iter) << ": " << whole.error().code;
+      for (const Probe& probe : probes_for(*originals[pick], rng)) {
+        const auto part =
+            store::decode_projection(bytes, probe.plan, probe.key);
+        const std::string context =
+            where<SegmentFormat>(seed, iter) + " plan=" +
+            std::string(store::to_string(probe.plan)) +
+            " key=" + std::to_string(probe.key);
+        if (!part.ok()) {
+          ASSERT_TRUE(known_code<SegmentFormat>(part.error().code))
+              << context << ": unstable code " << part.error().code;
+          ASSERT_FALSE(whole.ok())
+              << context << ": a projection failed with "
+              << part.error().code << " where the whole decode succeeded";
+          continue;
+        }
+        if (!whole.ok()) continue;
+        ASSERT_TRUE(projection_matches(*whole.value(), *part.value(), probe))
+            << context;
+        ++matched;
+      }
+    }
+    // One file in eight goes in unmutated, and each file gets at least
+    // four probes (six when it holds rows), all of which must compare.
+    EXPECT_GE(matched, static_cast<std::size_t>(kResealedIterations) / 8 * 4)
+        << "seed " << seed << ": too few projections compared";
+  }
+}
+
+// The directory must tile the payload: each section starting where the
+// one before it ends, the last ending with the payload. Behind valid
+// checksums, any other directory is corrupt, for the whole decode and
+// for every projection alike; the zone map, which does not read it,
+// still decodes.
+TEST(SegmentCorruption, DirectoryThatDoesNotTileIsCorrupt) {
+  Rng rng(77);
+  const Bytes base = SegmentFormat::file(rng, 60);
+  const auto original = store::decode_segment(base);
+  ASSERT_TRUE(original.ok());
+  constexpr std::size_t kLast = store::kSegmentSections - 1;
+  const auto field = [](std::size_t section, bool length) {
+    return SegmentFormat::kDirectoryAt + 16 * section + (length ? 8 : 0);
+  };
+  const auto shift = [&](Bytes& b, std::size_t section, bool length,
+                         std::int64_t by) {
+    const std::size_t at = field(section, length);
+    put_be(b, at, 8, get_be64(b, at) + static_cast<std::uint64_t>(by));
+  };
+  struct Case {
+    const char* what;
+    std::function<void(Bytes&)> damage;
+  };
+  const Case cases[] = {
+      {"first section starts past 0",
+       [&](Bytes& b) {
+         shift(b, 0, false, 1);
+         shift(b, 0, true, -1);
+       }},
+      {"a section runs into the next",
+       [&](Bytes& b) { shift(b, 4, true, 1); }},
+      {"a gap before a section",
+       [&](Bytes& b) {
+         shift(b, 9, false, 1);
+         shift(b, 9, true, -1);
+       }},
+      {"a section starts inside the one before",
+       [&](Bytes& b) {
+         shift(b, 12, false, -1);
+         shift(b, 12, true, 1);
+       }},
+      {"the last section stops short",
+       [&](Bytes& b) { shift(b, kLast, true, -1); }},
+      {"the last section runs past the payload",
+       [&](Bytes& b) { shift(b, kLast, true, std::int64_t{1} << 40); }},
+      {"an offset near 2^64",
+       [&](Bytes& b) { put_be(b, field(7, false), 8, ~std::uint64_t{0}); }},
+      {"a length near 2^64",
+       [&](Bytes& b) { put_be(b, field(7, true), 8, ~std::uint64_t{0}); }},
+  };
+  for (const Case& c : cases) {
+    Bytes bad = base;
+    c.damage(bad);
+    SegmentFormat::reseal_checksums(bad);
+    const auto whole = store::decode_segment(bad);
+    ASSERT_FALSE(whole.ok()) << c.what;
+    EXPECT_EQ(whole.error().code, "segment_corrupt") << c.what;
+    for (const Probe& probe : probes_for(*original.value(), rng)) {
+      const auto part = store::decode_projection(bad, probe.plan, probe.key);
+      ASSERT_FALSE(part.ok()) << c.what << ", plan "
+                              << store::to_string(probe.plan);
+      EXPECT_EQ(part.error().code, "segment_corrupt") << c.what;
+    }
+    EXPECT_TRUE(store::decode_zone_map(bad).ok()) << c.what;
+  }
+}
 
 // A corrupt file behind a live query: the query completes, reports the
 // failure in its stats, returns every row from intact segments, and
@@ -673,9 +948,37 @@ TEST(SegmentCorruption, CorruptFileBehindQueryDegradesCleanly) {
     last_id = stored.id;
   }
 
+  // Index plans read the damaged file through their projections, which
+  // check the same whole-payload checksum: each loses that one file and
+  // answers from the intact ones exactly as the scan above, filtered by
+  // the same predicate.
+  ASSERT_FALSE(result.empty());
+  for (const store::FlowQuery& q :
+       {store::FlowQuery{}.about_host(Ipv4Address(192, 0, 2, 3)),
+        store::FlowQuery{}.on_port(result[0].flow.tuple.dst_port)}) {
+    const auto indexed = store.query(q);
+    EXPECT_EQ(indexed.stats().cold_load_failures, 1u);
+    std::vector<std::uint64_t> got;
+    std::vector<std::uint64_t> want;
+    for (const auto& stored : indexed) got.push_back(stored.id);
+    for (const auto& stored : result)
+      if (q.matches(stored)) want.push_back(stored.id);
+    EXPECT_FALSE(got.empty());
+    EXPECT_EQ(got, want);
+  }
+
   auto direct = store::read_segment_file(victim.string());
   ASSERT_FALSE(direct.ok());
   EXPECT_EQ(direct.error().code, "segment_checksum");
+  for (const store::IndexKind plan :
+       {store::IndexKind::kTimeScan, store::IndexKind::kHost}) {
+    auto mapped = store::MappedFile::open(victim.string());
+    ASSERT_TRUE(mapped.ok());
+    const auto part =
+        store::decode_projection(mapped.value().bytes(), plan, 0);
+    ASSERT_FALSE(part.ok());
+    EXPECT_EQ(part.error().code, "segment_checksum");
+  }
   fs::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <unistd.h>
 
@@ -191,13 +192,22 @@ TEST(OverloadCapture, OneSlotShardedRingAccountsExactlyUnderConcurrentStop) {
   using namespace packet;
   engine.start();
   std::atomic<bool> stop_offering{false};
-  std::uint64_t offers = 0;
+  std::atomic<std::uint64_t> offers{0};
+  // The producer keeps offering past stop() until a ring drops a frame:
+  // starved of CPU (sanitized tests running in parallel), it may not
+  // fill a ring within the 20 ms before stop(), but once the workers
+  // have left, the rings fill and drop within a few offers. Whether
+  // the drop came before or after stop(), the identities below must
+  // hold exactly. The deadline only keeps a drop that never comes from
+  // hanging the test; the dropped > 0 check then fails.
   std::thread producer([&] {
     Rng rng(0xC0);
-    while (!stop_offering.load(std::memory_order_acquire)) {
-      (void)engine.offer(
+    bool dropped = false;
+    std::optional<std::chrono::steady_clock::time_point> deadline;
+    while (!dropped || !stop_offering.load(std::memory_order_acquire)) {
+      dropped |= !engine.offer(
           PacketBuilder(Timestamp::from_nanos(static_cast<std::int64_t>(
-                            1000 + offers)))
+                            1000 + offers.load(std::memory_order_relaxed))))
               .udp(Endpoint{MacAddress::from_id(1),
                             Ipv4Address(10, 0, 16, 2),
                             static_cast<std::uint16_t>(rng.below(60000))},
@@ -205,7 +215,12 @@ TEST(OverloadCapture, OneSlotShardedRingAccountsExactlyUnderConcurrentStop) {
                             53})
               .build(),
           sim::Direction::kInbound);
-      ++offers;
+      offers.fetch_add(1, std::memory_order_relaxed);
+      if (!dropped && stop_offering.load(std::memory_order_acquire)) {
+        const auto now = std::chrono::steady_clock::now();
+        if (!deadline) deadline = now + std::chrono::seconds(30);
+        if (now > *deadline) break;
+      }
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -215,7 +230,7 @@ TEST(OverloadCapture, OneSlotShardedRingAccountsExactlyUnderConcurrentStop) {
   engine.drain();  // frames offered after the workers left
 
   const auto s = engine.stats();
-  EXPECT_EQ(s.offered, offers);
+  EXPECT_EQ(s.offered, offers.load());
   EXPECT_EQ(s.accepted + s.dropped, s.offered);
   EXPECT_EQ(s.consumed + s.abandoned, s.accepted);
   EXPECT_GT(s.dropped, 0u);  // 1-slot rings under pressure must drop

@@ -9,10 +9,15 @@
 // RAM, at several thread counts; and a failing disk must degrade
 // gracefully (segments stay hot, retries counted in obs).
 //
-// The golden fixture (tests/data/golden_segment_v2.clseg) pins the
-// on-disk bytes — magic, version, column layout. An intentional format
-// change regenerates it with CAMPUSLAB_UPDATE_GOLDEN=1 and bumps
-// kSegmentFileVersion; an accidental one fails here loudly.
+// The plan projections (decode_projection, ColdSegmentHandle::load with
+// a plan) must hold exactly the whole decode's rows at the offsets the
+// plan's index names, and the handle shares a live decode only with the
+// plans it serves.
+//
+// The golden fixture (tests/data/golden_segment_v3.clseg) pins the
+// on-disk bytes — magic, version, directory, column layout. An
+// intentional format change regenerates it with CAMPUSLAB_UPDATE_GOLDEN=1
+// and bumps kSegmentFileVersion; an accidental one fails here loudly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +26,9 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "campuslab/obs/registry.h"
@@ -475,6 +482,176 @@ TEST(SegmentFile, ColdHandleSharesOneDecode) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------------------ plan projections
+
+// The rows `plan` names for `key` in a whole decode, and the part's own
+// index answer for the same key.
+struct NamedRows {
+  std::vector<std::uint32_t> named;
+  std::vector<std::uint32_t> held;
+};
+
+NamedRows named_rows(const Segment& whole, const Segment& part,
+                     IndexKind plan, std::uint64_t key) {
+  const auto copy = [](std::span<const std::uint32_t> rows) {
+    return std::vector<std::uint32_t>(rows.begin(), rows.end());
+  };
+  switch (plan) {
+    case IndexKind::kHost: {
+      const auto k = static_cast<std::uint32_t>(key);
+      return {copy(whole.by_host.find(k)), copy(part.by_host.find(k))};
+    }
+    case IndexKind::kPort: {
+      const auto k = static_cast<std::uint16_t>(key);
+      return {copy(whole.by_port.find(k)), copy(part.by_port.find(k))};
+    }
+    case IndexKind::kLabel:
+      return {whole.by_label[key], part.by_label[key]};
+    case IndexKind::kTimeScan:
+      break;
+  }
+  return {};
+}
+
+void expect_projection(const std::vector<std::uint8_t>& bytes,
+                       const Segment& whole, IndexKind plan,
+                       std::uint64_t key) {
+  SCOPED_TRACE(::testing::Message()
+               << "plan " << to_string(plan) << ", key " << key);
+  auto decoded = decode_projection(bytes, plan, key);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().code;
+  const Segment& part = *decoded.value();
+  EXPECT_TRUE(part.sealed);
+  if (!whole.flows.empty()) {
+    EXPECT_EQ(part.min_ts, whole.min_ts);
+    EXPECT_EQ(part.max_ts, whole.max_ts);
+  }
+  if (plan == IndexKind::kTimeScan) {
+    EXPECT_EQ(part.projection.kind, SegmentProjection::Kind::kRows);
+    EXPECT_EQ(part.by_host.size(), 0u);
+    EXPECT_EQ(part.by_port.size(), 0u);
+    for (const auto& posting : part.by_label) EXPECT_TRUE(posting.empty());
+    ASSERT_EQ(part.flows.size(), whole.flows.size());
+    for (std::size_t i = 0; i < whole.flows.size(); ++i)
+      expect_flow_equal(part.flows[i], whole.flows[i]);
+    return;
+  }
+  EXPECT_EQ(part.projection.kind, SegmentProjection::Kind::kKey);
+  EXPECT_EQ(part.projection.plan, plan);
+  EXPECT_EQ(part.projection.key, key);
+  const auto [named, held] = named_rows(whole, part, plan, key);
+  std::vector<std::uint32_t> in_order(named.size());
+  std::iota(in_order.begin(), in_order.end(), 0u);
+  EXPECT_EQ(held, in_order);
+  ASSERT_EQ(part.flows.size(), named.size());
+  for (std::size_t k = 0; k < named.size(); ++k)
+    expect_flow_equal(part.flows[k], whole.flows[named[k]]);
+}
+
+// Up to `most` of an index's keys, spread over it, plus each one's
+// absent neighbours and both extremes of the key type.
+template <typename Key>
+std::vector<std::uint64_t> probe_keys(const PostingIndex<Key>& index,
+                                      std::size_t most) {
+  std::vector<std::uint64_t> keys = {0, std::numeric_limits<Key>::max()};
+  const std::size_t step = std::max<std::size_t>(1, index.size() / most);
+  for (std::size_t i = 0; i < index.size(); i += step) {
+    keys.push_back(index.keys[i]);
+    if (index.keys[i] > 0) keys.push_back(index.keys[i] - 1u);
+    if (index.keys[i] < std::numeric_limits<Key>::max())
+      keys.push_back(index.keys[i] + 1u);
+  }
+  return keys;
+}
+
+// Every plan's projection of a valid file holds exactly the whole
+// decode's rows at the offsets the plan's index names for its key, in
+// posting order, indexed under that key alone; an absent key holds
+// none; a time scan holds every row and no index.
+TEST(SegmentFile, ProjectionsHoldTheRowsTheirIndexNames) {
+  std::mt19937_64 rng(0x9A27);
+  for (const Shape shape : {Shape::kMixed, Shape::kFlood}) {
+    for (const std::size_t n : {0, 1, 2, 64, 3000}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (shape == Shape::kFlood ? "flood" : "mixed") << ", "
+                   << n << " flows");
+      const auto seg = make_segment(shaped_flows(rng, n, shape), 1 + n);
+      const auto bytes = encode_segment(*seg);
+      auto whole = decode_segment(bytes);
+      ASSERT_TRUE(whole.ok());
+      expect_projection(bytes, *whole.value(), IndexKind::kTimeScan, 0);
+      for (const std::uint64_t key : probe_keys(seg->by_host, 24))
+        expect_projection(bytes, *whole.value(), IndexKind::kHost, key);
+      for (const std::uint64_t key : probe_keys(seg->by_port, 24))
+        expect_projection(bytes, *whole.value(), IndexKind::kPort, key);
+      for (std::uint64_t label = 0; label < packet::kTrafficLabelCount;
+           ++label)
+        expect_projection(bytes, *whole.value(), IndexKind::kLabel, label);
+    }
+  }
+}
+
+// The handle shares a live decode only with the plans it serves: a
+// whole decode serves every plan, a time-scan decode serves time scans
+// only, and a key projection is never shared. Each decode counts one
+// store.cold_loads tick; joining a live one counts none.
+TEST(SegmentFile, ColdHandleSharesADecodeOnlyWithPlansItServes) {
+  const auto dir = fresh_dir("segfile_handle_plans");
+  const auto seg = make_segment(
+      {flow_at(1, Ipv4Address(10, 0, 0, 1), Ipv4Address(10, 0, 0, 2), 5, 6),
+       flow_at(2, Ipv4Address(10, 0, 0, 3), Ipv4Address(10, 0, 0, 1), 7, 6)});
+  const std::string path = dir + "/seg.clseg";
+  auto written = write_segment_file(*seg, path);
+  ASSERT_TRUE(written.ok());
+  ColdSegmentHandle handle(path, written.value().zone,
+                           written.value().file_bytes);
+  const std::uint64_t host = Ipv4Address(10, 0, 0, 1).value();
+  const obs::Counter& loads =
+      obs::Registry::global().counter("store.cold_loads");
+  const auto decodes = [&loads, start = loads.value()] {
+    return loads.value() - start;
+  };
+
+  {
+    auto scan = handle.load(IndexKind::kTimeScan, 0);
+    auto scan_again = handle.load(IndexKind::kTimeScan, 0);
+    ASSERT_TRUE(scan.ok() && scan_again.ok());
+    EXPECT_EQ(scan.value().get(), scan_again.value().get());
+    EXPECT_EQ(decodes(), 1u);
+    // A time-scan decode has no index: neither a key plan nor a whole
+    // load may join it.
+    auto private_host = handle.load(IndexKind::kHost, host);
+    ASSERT_TRUE(private_host.ok());
+    EXPECT_NE(private_host.value().get(), scan.value().get());
+    EXPECT_EQ(decodes(), 2u);
+    auto whole = handle.load();
+    ASSERT_TRUE(whole.ok());
+    EXPECT_NE(whole.value().get(), scan.value().get());
+    EXPECT_EQ(decodes(), 3u);
+    auto by_host = handle.load(IndexKind::kHost, host);
+    auto by_label = handle.load(IndexKind::kLabel, 0);
+    ASSERT_TRUE(by_host.ok() && by_label.ok());
+    EXPECT_EQ(by_host.value().get(), whole.value().get());
+    EXPECT_EQ(by_label.value().get(), whole.value().get());
+    EXPECT_EQ(decodes(), 3u);
+  }
+  {
+    auto first = handle.load(IndexKind::kHost, host);
+    auto second = handle.load(IndexKind::kHost, host);
+    ASSERT_TRUE(first.ok() && second.ok());
+    EXPECT_NE(first.value().get(), second.value().get());
+    EXPECT_EQ(first.value()->projection.kind,
+              SegmentProjection::Kind::kKey);
+    EXPECT_EQ(first.value()->flows.size(), 2u);  // src of one, dst of one
+    EXPECT_EQ(decodes(), 5u);
+    auto scan = handle.load(IndexKind::kTimeScan, 0);
+    ASSERT_TRUE(scan.ok());
+    EXPECT_EQ(scan.value()->projection.kind, SegmentProjection::Kind::kRows);
+    EXPECT_EQ(decodes(), 6u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // Acceptance criterion: an all-spilled store answers queries and
 // aggregations bit-identically to the same store fully in RAM, at
 // multiple thread counts.
@@ -622,7 +799,7 @@ TEST(SegmentFile, FailedSpillKeepsSegmentHot) {
 
 std::filesystem::path golden_path() {
   return std::filesystem::path(CAMPUSLAB_TEST_DATA_DIR) /
-         "golden_segment_v2.clseg";
+         "golden_segment_v3.clseg";
 }
 
 // A small, fully deterministic segment: fixed flows, fixed ids.
@@ -654,7 +831,7 @@ TEST(SegmentFile, GoldenFixturePinsFormat) {
 
   // Layout invariants, independent of the fixture file.
   ASSERT_GE(bytes.size(), kSegmentFileHeaderBytes);
-  const std::uint8_t magic[8] = {'C', 'L', 'S', 'E', 'G', '0', '1', '\n'};
+  const std::uint8_t magic[8] = {'C', 'L', 'S', 'E', 'G', '0', '2', '\n'};
   EXPECT_TRUE(std::equal(magic, magic + 8, bytes.begin()));
   EXPECT_EQ(bytes[8], 0u);  // version u32 big-endian == kSegmentFileVersion
   EXPECT_EQ(bytes[9], 0u);

@@ -397,6 +397,9 @@ TEST(QueryCursor, RespectsLimitAndSpansSegments) {
 // A cursor holds one cold decode at a time: once it yields a row of
 // segment k+1 it has let go of segment k, so loading k's file again
 // decodes it afresh instead of joining a decode the cursor still holds.
+// The probe asks for what the cursor's time scan decoded (every row, no
+// index), the one decode it could join: a whole load() could never
+// share that decode, so it would read the file afresh either way.
 TEST(QueryCursor, HoldsAtMostOneColdDecode) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("campuslab_cursor_cold_" + std::to_string(::getpid()));
@@ -422,7 +425,7 @@ TEST(QueryCursor, HoldsAtMostOneColdDecode) {
       ASSERT_TRUE(cur.next());
     } while (cur.current().id <= last_of_k);
     const std::uint64_t before = cold_loads.value();
-    ASSERT_TRUE(pins[k].cold->load().ok());
+    ASSERT_TRUE(pins[k].cold->load(IndexKind::kTimeScan, 0).ok());
     EXPECT_EQ(cold_loads.value(), before + 1)
         << "the cursor still holds segment " << k << "'s decode";
   }

@@ -1,9 +1,10 @@
 // Unit tests for campuslab::util — Result/Status, RNG determinism and
 // distribution sanity, byte reader/writer round-trips and bounds
-// behaviour, the string codec, write-then-rename, time arithmetic, and
-// streaming statistics.
+// behaviour, the string codec, write-then-rename, time arithmetic,
+// streaming statistics, and the FNV-1a and checksum64 hashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <filesystem>
@@ -463,6 +464,64 @@ TEST(Fnv1a, StepFoldsWholeWordsNotBytes) {
   // The compat basis is the standard basis with its last decimal
   // digit dropped (the historical typo, kept bit-stable).
   EXPECT_EQ(util::kFnvCompatBasis, util::kFnvOffsetBasis / 10);
+}
+
+// checksum64 is the CLSEG02 payload sum, so its output is part of the
+// file format: pin it on a fixed input and on the empty buffer.
+TEST(Checksum64, PinnedValues) {
+  const std::string_view s = "CampusLab CLSEG02 payload checksum";
+  const std::vector<std::uint8_t> bytes(s.begin(), s.end());
+  EXPECT_EQ(util::checksum64(bytes), 0x948bb818db49e1d8ULL);
+  EXPECT_EQ(util::checksum64({}), 0xca447b26c37c61b9ULL);
+  EXPECT_NE(util::checksum64(bytes, 1), util::checksum64(bytes));
+}
+
+// Lengths 0 to 64 cover the four-lane stripes, whole tail words and
+// every partial last word. Every length sums apart from every other,
+// zero buffers too (the length is folded in, so zero padding cannot
+// alias a shorter buffer), and no sum depends on the buffer's address
+// alignment.
+TEST(Checksum64, EveryLengthUpTo64) {
+  std::vector<std::uint8_t> pattern(64);
+  for (std::size_t i = 0; i < pattern.size(); ++i)
+    pattern[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  const std::vector<std::uint8_t> zeros(64, 0);
+  std::set<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const std::span<const std::uint8_t> data(pattern.data(), len);
+    const std::uint64_t sum = util::checksum64(data);
+    EXPECT_TRUE(seen.insert(sum).second) << "pattern, length " << len;
+    if (len > 0) {  // the empty buffer is already in
+      EXPECT_TRUE(seen.insert(util::checksum64({zeros.data(), len})).second)
+          << "zeros, length " << len;
+    }
+    for (std::size_t shift = 1; shift < 8; ++shift) {
+      std::vector<std::uint8_t> moved(shift + len);
+      std::copy(data.begin(), data.end(), moved.begin() + shift);
+      EXPECT_EQ(util::checksum64({moved.data() + shift, len}), sum)
+          << "length " << len << " at offset " << shift;
+    }
+  }
+}
+
+// A damaged byte must fail every load of its file: every single-byte
+// change of a 1 KiB buffer, to each of the other 255 values, changes
+// the sum.
+TEST(Checksum64, EverySingleByteFlipChangesTheSum) {
+  Rng rng(0xC5E6);
+  std::vector<std::uint8_t> buf(1024);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::uint64_t base = util::checksum64(buf);
+  std::size_t unchanged = 0;
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    for (unsigned mask = 1; mask < 256; ++mask) {
+      buf[i] ^= static_cast<std::uint8_t>(mask);
+      if (util::checksum64(buf) == base) ++unchanged;
+      buf[i] ^= static_cast<std::uint8_t>(mask);
+    }
+  }
+  EXPECT_EQ(unchanged, 0u);
+  EXPECT_EQ(util::checksum64(buf), base);
 }
 
 TEST(Mix64, AvalanchesHighBits) {
