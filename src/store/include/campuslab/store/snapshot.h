@@ -23,6 +23,13 @@
 // The inverted indexes exist only once a segment is sealed: seal()
 // builds them under the store mutex before setting `sealed`, and a
 // reader consults them only when the segment was sealed at pin time.
+//
+// A cold pin's parked Segment is the exception to [0, count): a key
+// projection holds only the rows its posting list names, often far
+// fewer than `count`. So a pinned segment is read only through the
+// query engine's per-segment scan (scan_segment in query_engine.cpp),
+// which reads the file again when the parked copy's `projection` does
+// not serve the scan's plan.
 #pragma once
 
 #include <algorithm>
@@ -132,7 +139,8 @@ class ColdSegmentHandle;  // segment_file.h — the spilled-tier reference
 /// segment are owned by the snapshot exactly like hot rows. Both tiers
 /// scan identically from there on. A later scan of the same pin with a
 /// plan the parked Segment does not serve (its `projection`) reads the
-/// file again. `count` stays the file's flow count.
+/// file again. `count` stays the file's flow count, even when the
+/// parked Segment is a key projection with fewer rows.
 struct PinnedSegment {
   std::shared_ptr<const Segment> segment;
   std::uint32_t count = 0;

@@ -122,23 +122,22 @@ inline std::uint64_t load_le64(const std::uint8_t* p) noexcept {
 /// length a change confined to one aligned 8-byte word, such as any one
 /// damaged byte, always changes the sum. Not FNV-1a, and not any
 /// published hash's exact output.
-inline std::uint64_t checksum64(std::span<const std::uint8_t> data,
-                                std::uint64_t seed = 0) noexcept {
+inline std::uint64_t checksum64(std::span<const std::uint8_t> data) noexcept {
   using detail::kSumPrime1;
   using detail::kSumPrime2;
   using detail::load_le64;
   using detail::sum_round;
   const std::uint8_t* p = data.data();
   std::size_t left = data.size();
-  std::uint64_t lane[4] = {seed + kSumPrime1 + kSumPrime2, seed + kSumPrime2,
-                           seed, seed - kSumPrime1};
+  std::uint64_t lane[4] = {kSumPrime1 + kSumPrime2, kSumPrime2, 0,
+                           0 - kSumPrime1};
   for (; left >= 32; left -= 32, p += 32) {
     lane[0] = sum_round(lane[0], load_le64(p));
     lane[1] = sum_round(lane[1], load_le64(p + 8));
     lane[2] = sum_round(lane[2], load_le64(p + 16));
     lane[3] = sum_round(lane[3], load_le64(p + 24));
   }
-  std::uint64_t h = sum_round(seed, data.size());
+  std::uint64_t h = sum_round(0, data.size());
   for (const std::uint64_t v : lane) h = sum_round(h, v);
   for (; left >= 8; left -= 8, p += 8) h = sum_round(h, load_le64(p));
   if (left > 0) {

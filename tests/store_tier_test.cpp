@@ -13,6 +13,10 @@
 // needs, and must still find, scan and count exactly what the hot
 // segment would.
 //
+// A result's snapshot is then reused: after an index query each cold
+// pin parks a key projection, and follow-up plans over that snapshot
+// must read the file again rather than the projection's few rows.
+//
 // Then threads run mixed plans over the same cold handles at once,
 // beside a reader that holds whole-file decodes: the case in which a
 // decode without an index section could be handed to a plan that needs
@@ -25,6 +29,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -335,6 +340,100 @@ TEST(StoreTierDifferential, EveryReadPathAnswersAlikeOnBothTiers) {
     }
     EXPECT_GT(cold_loaded, 0u);
     EXPECT_GT(index_plans, 40u);
+  }
+}
+
+// A result's snapshot is shareable with a cursor or a follow-up query
+// (QueryResult::snapshot()). After a host, port or label query every
+// cold pin of that snapshot parks a key projection: only the rows one
+// key names, fewer than the pin's count. A follow-up on the snapshot
+// with a time scan, with the same plan and another key, or with another
+// plan must read the file again and answer as the hot store does,
+// never reading past the projection's rows (the ASAN job runs this).
+TEST(StoreTierDifferential, ResultSnapshotsServeFollowUpPlans) {
+  for (const std::uint64_t seed : fuzz_seeds()) {
+    SCOPED_TRACE("CAMPUSLAB_FUZZ_SEED=" + std::to_string(seed));
+    TierPair tiers("reuse", seed);
+    const DataStore& hot = tiers.hot.store();
+    const DataStore& cold = tiers.cold.store();
+    ScanPool serial(1);
+    ScanPool parallel(4);
+    Rng rng(seed ^ 0x5EED);
+    std::size_t key_pins = 0;
+    std::size_t reloaded = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE("trial " + std::to_string(trial));
+      // An index query with no window and no limit, so every cold pin
+      // is read and parks the projection for its key.
+      FlowQuery first;
+      do first = random_query(rng);
+      while (planned_index(first) == IndexKind::kTimeScan);
+      first.from.reset();
+      first.to.reset();
+      first.limit = std::numeric_limits<std::size_t>::max();
+      const auto hot_first = hot.query(first);
+      const auto cold_first = cold.query(first);
+      ASSERT_TRUE(same_rows(hot_first, cold_first));
+      for (const auto& pin : cold_first.snapshot().segments())
+        if (pin.cold != nullptr && pin.segment != nullptr &&
+            pin.segment->projection.kind == SegmentProjection::Kind::kKey &&
+            pin.segment->flows.size() < pin.count)
+          ++key_pins;
+
+      // Follow-ups: every file-wide time scan, then two random plans
+      // (another key of the same index, another index, a time scan).
+      const FlowQuery follow_ups[] = {FlowQuery{}, random_query(rng),
+                                      random_query(rng)};
+      for (const FlowQuery& q : follow_ups) {
+        SCOPED_TRACE(std::string("follow-up ") +
+                     std::string(to_string(planned_index(q))) + " after " +
+                     std::string(to_string(planned_index(first))));
+        for (ScanPool* pool : {&serial, &parallel}) {
+          const auto want = execute_query(hot_first.snapshot(), q, pool);
+          const auto got = execute_query(cold_first.snapshot(), q, pool);
+          ASSERT_TRUE(same_rows(want, got)) << pool->threads() << " threads";
+          ASSERT_TRUE(same_stats(want.stats(), got.stats()));
+          reloaded += got.stats().cold_loaded;
+
+          const auto group_by = static_cast<GroupBy>(rng.below(3));
+          ASSERT_TRUE(same_aggregate(
+              execute_aggregate(hot_first.snapshot(), q, group_by, 0, pool),
+              execute_aggregate(cold_first.snapshot(), q, group_by, 0, pool)))
+              << to_string(group_by);
+        }
+
+        QueryStats want_stats;
+        QueryStats got_stats;
+        bool want_done = false;
+        bool got_done = false;
+        const std::uint64_t after = rng.below(kFlows);
+        const std::size_t max_rows = 1 + rng.below(40);
+        ASSERT_TRUE(same_rows(scan_chunk(hot_first.snapshot(), q, after,
+                                         max_rows, &want_stats, &want_done),
+                              scan_chunk(cold_first.snapshot(), q, after,
+                                         max_rows, &got_stats, &got_done)))
+            << "chunk after " << after;
+        ASSERT_TRUE(same_stats(want_stats, got_stats));
+        ASSERT_EQ(want_done, got_done);
+
+        QueryCursor want_cursor(hot_first.snapshot(), q);
+        QueryCursor got_cursor(cold_first.snapshot(), q);
+        for (bool more = true; more;) {
+          more = want_cursor.next();
+          ASSERT_EQ(got_cursor.next(), more);
+          if (more) {
+            ASSERT_TRUE(
+                same_row(want_cursor.current(), got_cursor.current()));
+          }
+        }
+        ASSERT_TRUE(same_stats(want_cursor.stats(), got_cursor.stats()));
+      }
+
+      // The first answer still reads its own key projections.
+      ASSERT_TRUE(same_rows(hot_first, cold_first));
+    }
+    EXPECT_GT(key_pins, 0u);
+    EXPECT_GT(reloaded, 0u);
   }
 }
 
