@@ -357,6 +357,8 @@ double print_storage_tier_table() {
     seg.seal();
     store::SegmentFileInfo info;
     store::encode_segment(seg, &info);
+    const double encode_ms = time_best_of(
+        10, [&] { benchmark::DoNotOptimize(store::encode_segment(seg)); });
     std::printf("\n== per-column compression (one %u-flow segment) ==\n",
                 info.zone.flow_count);
     std::printf("%-16s%-12s%-14s%-8s\n", "column", "file bytes",
@@ -375,6 +377,7 @@ double print_storage_tier_table() {
                 static_cast<double>(info.memory_bytes) /
                     static_cast<double>(std::max<std::uint64_t>(
                         info.file_bytes, 1)));
+    std::printf("encode: %.2f ms per segment (best of 10)\n", encode_ms);
   }
 
   // Zone-map pruning: a 20-second window out of ~2000 seconds of

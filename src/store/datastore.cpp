@@ -1,13 +1,12 @@
 #include "campuslab/store/datastore.h"
 
 #include <algorithm>
-#include <array>
 #include <filesystem>
-#include <numeric>
 
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
 #include "campuslab/resilience/fault.h"
+#include "campuslab/store/key_sort.h"
 #include "campuslab/store/query_engine.h"
 #include "campuslab/store/segment_file.h"
 
@@ -53,26 +52,13 @@ struct StoreMetrics {
   }
 };
 
-// Fill `index` from (key << 32 | row) pairs listed in row order. A
-// stable LSD radix sort on the key bytes orders keys ascending and
-// keeps rows ascending within a key, which is the order the CLSEG02
-// index section stores. A pass whose byte is the same in every pair
-// moves nothing and is skipped.
+// Fill `index` from (key << 32 | row) pairs listed in row order.
+// sort_by_key orders keys ascending and keeps rows ascending within a
+// key, which is the order the CLSEG02 index section stores.
 template <typename Key>
 void build_index(PostingIndex<Key>& index,
                  std::vector<std::uint64_t>& pairs) {
-  std::vector<std::uint64_t> sorted(pairs.size());
-  for (unsigned shift = 32; shift < 32 + 8 * sizeof(Key); shift += 8) {
-    std::array<std::size_t, 257> next{};
-    for (const std::uint64_t pair : pairs)
-      ++next[((pair >> shift) & 0xFF) + 1];
-    if (std::find(next.begin() + 1, next.end(), pairs.size()) != next.end())
-      continue;
-    std::partial_sum(next.begin(), next.end(), next.begin());
-    for (const std::uint64_t pair : pairs)
-      sorted[next[(pair >> shift) & 0xFF]++] = pair;
-    pairs.swap(sorted);
-  }
+  sort_by_key<Key>(pairs);
   index.rows.reserve(pairs.size());
   for (const std::uint64_t pair : pairs) {
     const auto key = static_cast<Key>(pair >> 32);

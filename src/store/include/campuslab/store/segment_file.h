@@ -112,7 +112,18 @@ inline constexpr std::size_t kSegmentFileHeaderBytes =
 /// Serialize a sealed segment to a byte buffer; the index sections
 /// hold the index seal() built (an unsealed segment has none).
 /// Deterministic: the same segment always encodes to the same bytes,
-/// which is what the golden-format fixture pins.
+/// which is what the golden-format fixture pins. The host dictionary,
+/// the protocol dictionary and the zone map come from the rows, never
+/// from the indexes, which a decoded file need not make agree with
+/// them.
+///
+/// One key pass reads each row's hosts, protocol and first_ts; one
+/// radix sort of (host, slot) pairs, shared with Segment::seal(), gives
+/// the host dictionary and every row's two ordinals in it. One row pass
+/// then writes each row's values into every column, each column into
+/// its own buffer sized from the column's worst case. The sections are
+/// copied into one file buffer and the payload is summed where it sits,
+/// before the header is written in front of it.
 std::vector<std::uint8_t> encode_segment(const Segment& segment,
                                          SegmentFileInfo* info = nullptr);
 
@@ -184,18 +195,17 @@ class MappedFile {
 /// The store's reference to a spilled segment: the file path, the zone
 /// map for pruning and accounting, and demand loads.
 ///
-/// load() decodes the whole file into a fully indexed in-RAM Segment;
-/// load(plan, key) decodes what one query plan reads of it
-/// (decode_projection). Both hand back a shared_ptr and the handle
-/// keeps only weak references, so a live decode is shared with every
-/// concurrent query it can serve, and its memory is released as soon
-/// as the last snapshot pinning it lets go. A whole decode serves every
-/// plan; a time-scan decode serves time scans; a key projection stays
-/// private to its caller. That is the out-of-core property: resident
-/// cold bytes are bounded by what queries are actively scanning, not
-/// by what the store retains. Each decode counts once in
-/// store.cold_loads and store_load_ns (a failed one in
-/// store.cold_load_failures); joining a live decode counts nothing.
+/// load(plan, key) decodes what one query plan reads of the file
+/// (decode_projection) and hands it back as a shared_ptr. The handle
+/// keeps one weak reference, to a live time-scan decode, which every
+/// concurrent time scan shares; its memory is released as soon as the
+/// last snapshot pinning it lets go. A key projection stays private to
+/// its caller. That is the out-of-core property: resident cold bytes
+/// are bounded by what queries are actively scanning, not by what the
+/// store retains. A whole, indexed decode of the file is
+/// read_segment_file's. Each decode counts once in store.cold_loads
+/// and store_load_ns (a failed one in store.cold_load_failures);
+/// joining a live decode counts nothing.
 class ColdSegmentHandle {
  public:
   /// `owns_file` = unlink the file when the last reference drops. The
@@ -215,14 +225,10 @@ class ColdSegmentHandle {
   const SegmentZoneMap& zone() const noexcept { return zone_; }
   std::uint64_t file_bytes() const noexcept { return file_bytes_; }
 
-  /// Decode (or join a live whole decode of) the file. Thread-safe.
-  /// Errors pass through from read_segment_file.
-  Result<std::shared_ptr<const Segment>> load() const;
-
-  /// What a query with `plan` and `key` reads of the file: a live whole
-  /// decode if there is one; for kTimeScan, else a live time-scan decode
-  /// or a new shared one; for an index plan, else a private projection.
-  /// Thread-safe. Errors as decode_projection's, or "io".
+  /// What a query with `plan` and `key` reads of the file: for
+  /// kTimeScan, a live time-scan decode or a new shared one; for an
+  /// index plan, a private projection. Thread-safe. Errors as
+  /// decode_projection's, or "io".
   Result<std::shared_ptr<const Segment>> load(IndexKind plan,
                                               std::uint64_t key) const;
 
@@ -232,8 +238,7 @@ class ColdSegmentHandle {
   std::uint64_t file_bytes_ = 0;
   bool owns_file_ = false;
   mutable std::mutex mu_;
-  mutable std::weak_ptr<const Segment> whole_;  // a live load()
-  mutable std::weak_ptr<const Segment> rows_;   // a live time-scan load
+  mutable std::weak_ptr<const Segment> rows_;  // a live time-scan load
 };
 
 }  // namespace campuslab::store

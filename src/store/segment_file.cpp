@@ -7,9 +7,11 @@
 #include <fstream>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "campuslab/obs/registry.h"
 #include "campuslab/obs/stage_timer.h"
+#include "campuslab/store/key_sort.h"
 #include "campuslab/util/bytes.h"
 #include "campuslab/util/codec.h"
 #include "campuslab/util/file.h"
@@ -32,11 +34,11 @@ namespace {
 constexpr std::uint64_t kMagic = 0x434C53454730320AULL;
 
 // The header keeps standard-basis FNV-1a from util/hash.h; the payload
-// is covered by util::checksum64. The varint / zigzag encoders are the
-// shared util/codec.h ones, so every column keeps its CLSEG01 bytes.
+// is covered by util::checksum64. Zigzag is the shared util/codec.h
+// mapping, and SectionWriter writes util::put_varint's bytes, so every
+// column keeps its CLSEG01 bytes.
 using util::checksum64;
 using util::fnv1a;
-using util::put_varint;
 using util::unzigzag;
 using util::zigzag;
 
@@ -177,6 +179,48 @@ class SectionReader {
   bool failed_ = false;
 };
 
+// The most bytes one varint of a value of each width takes.
+constexpr std::size_t kVarint64Bytes = 10;
+constexpr std::size_t kVarint32Bytes = 5;
+constexpr std::size_t kVarint16Bytes = 3;
+
+// The encoder's writer for one payload section. Its buffer is sized
+// from the section's worst case and left uninitialized, so a write
+// checks no bound and no byte past the last one written is touched.
+// Its varint writes the bytes util::put_varint writes.
+class SectionWriter {
+ public:
+  SectionWriter() = default;
+  explicit SectionWriter(std::size_t bound)
+      : buf_(std::make_unique_for_overwrite<std::uint8_t[]>(bound)),
+        end_(buf_.get()) {}
+
+  void byte(std::uint8_t b) noexcept { *end_++ = b; }
+
+  void varint(std::uint64_t v) noexcept {
+    while (v >= 0x80) {
+      *end_++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *end_++ = static_cast<std::uint8_t>(v);
+  }
+
+  // Absolute first offset, then deltas; at most 10 + 5 per offset.
+  void offsets(std::span<const std::uint32_t> v) noexcept {
+    varint(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+      varint(i == 0 ? v[i] : v[i] - v[i - 1]);
+  }
+
+  std::span<const std::uint8_t> written() const noexcept {
+    return {buf_.get(), end_};
+  }
+
+ private:
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::uint8_t* end_ = nullptr;
+};
+
 // The rows a decode materializes: every row of the file in order, or
 // the strictly ascending offsets one posting list names. Output row k
 // is file row at(k).
@@ -235,12 +279,6 @@ bool append_offsets(SectionReader& r, std::uint32_t flow_count,
     prev = v;
   }
   return true;
-}
-
-void encode_offsets(ByteWriter& w, std::span<const std::uint32_t> v) {
-  put_varint(w, v.size());
-  for (std::size_t i = 0; i < v.size(); ++i)
-    put_varint(w, i == 0 ? v[i] : v[i] - v[i - 1]);
 }
 
 struct ParsedHeader {
@@ -671,209 +709,220 @@ Result<std::shared_ptr<const Segment>> timed_load(const std::string& path,
 
 // ------------------------------------------------------------- encode
 
+namespace {
+
+// What the row pass needs besides the rows: the host dictionary with
+// each row's two ordinals in it (slot 2·row for the source, 2·row + 1
+// for the destination), each protocol's rank in the protocol
+// dictionary, and the least first_ts (the first_ts column is offset
+// from it).
+struct RowKeys {
+  std::vector<std::uint32_t> hosts;     // sorted, unique
+  std::vector<std::uint32_t> ordinals;  // per slot
+  std::vector<std::uint8_t> protos;     // the protocols present, ascending
+  std::array<std::uint8_t, 256> proto_rank{};  // index into `protos`
+  Timestamp min_ts;  // epoch when there are no rows
+};
+
+// One pass over the rows lists (host << 32 | slot) pairs, the
+// protocols present and the least first_ts. Sorting the pairs by host
+// and walking them once gives the dictionary and every ordinal. The
+// pairs and the sort's scratch (16 B per slot) are released on return,
+// before the caller writes a column.
+RowKeys row_keys(std::span<const StoredFlow> flows) {
+  RowKeys keys;
+  std::vector<std::uint64_t> pairs;
+  pairs.reserve(2 * flows.size());
+  std::array<bool, 256> proto_present{};
+  if (!flows.empty()) keys.min_ts = flows.front().flow.first_ts;
+  for (std::uint32_t row = 0; row < flows.size(); ++row) {
+    const capture::FlowRecord& f = flows[row].flow;
+    pairs.push_back(std::uint64_t{f.tuple.src.value()} << 32 | 2 * row);
+    pairs.push_back(std::uint64_t{f.tuple.dst.value()} << 32 | (2 * row + 1));
+    proto_present[f.tuple.proto] = true;
+    keys.min_ts = std::min(keys.min_ts, f.first_ts);
+  }
+  sort_by_key<std::uint32_t>(pairs);
+  keys.ordinals.resize(pairs.size());
+  for (const std::uint64_t pair : pairs) {
+    const auto host = static_cast<std::uint32_t>(pair >> 32);
+    if (keys.hosts.empty() || keys.hosts.back() != host)
+      keys.hosts.push_back(host);
+    keys.ordinals[static_cast<std::uint32_t>(pair)] =
+        static_cast<std::uint32_t>(keys.hosts.size() - 1);
+  }
+  for (std::size_t p = 0; p < 256; ++p) {
+    if (!proto_present[p]) continue;
+    keys.proto_rank[p] = static_cast<std::uint8_t>(keys.protos.size());
+    keys.protos.push_back(static_cast<std::uint8_t>(p));
+  }
+  return keys;
+}
+
+// A keyed index section, as seal() built the index: the key count,
+// then each key as a delta from the one before it, followed by its
+// offsets.
+template <typename Key>
+SectionWriter keyed_index_section(const PostingIndex<Key>& index) {
+  SectionWriter w(kVarint64Bytes * (1 + 2 * index.size()) +
+                  kVarint32Bytes * index.rows.size());
+  w.varint(index.size());
+  for (std::size_t i = 0; i < index.size(); ++i) {
+    const std::uint64_t key = index.keys[i];
+    w.varint(i == 0 ? key : key - index.keys[i - 1]);
+    w.offsets(index.postings(i));
+  }
+  return w;
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_segment(const Segment& segment,
                                          SegmentFileInfo* info) {
   const auto& flows = segment.flows;
   const auto n = static_cast<std::uint32_t>(flows.size());
+  const RowKeys keys = row_keys(flows);
+  std::array<SectionWriter, kSegmentSections> out;
+
+  // Host dictionary: sorted unique src+dst addresses, delta-encoded;
+  // the address columns are ordinals into it.
+  out[kHostDict] =
+      SectionWriter(kVarint64Bytes + kVarint32Bytes * keys.hosts.size());
+  out[kHostDict].varint(keys.hosts.size());
+  for (std::size_t i = 0; i < keys.hosts.size(); ++i)
+    out[kHostDict].varint(i == 0 ? keys.hosts[i]
+                                 : keys.hosts[i] - keys.hosts[i - 1]);
+
+  // Protocol dictionary (a campus sees a handful of IP protocols): the
+  // protocols present in ascending order, then one rank per row.
+  out[kProto] = SectionWriter(kVarint16Bytes + 256 + 2 * std::size_t{n});
+  out[kProto].varint(keys.protos.size());
+  for (const std::uint8_t proto : keys.protos) out[kProto].byte(proto);
+
+  for (const Section s : {kIds, kFirstTs, kDuration, kPackets, kBytes,
+                          kPayloadBytes, kFwdPackets, kRevPackets})
+    out[s] = SectionWriter(kVarint64Bytes * n);
+  for (const Section s : {kSrcHost, kDstHost, kSynCount, kSynackCount,
+                          kFinCount, kRstCount, kPshCount, kScenarioId})
+    out[s] = SectionWriter(kVarint32Bytes * n);
+  out[kSrcPort] = SectionWriter(kVarint16Bytes * n);
+  out[kDstPort] = SectionWriter(kVarint16Bytes * n);
+  out[kDirection] = SectionWriter((std::size_t{n} + 7) / 8);
+  out[kSawDns] = SectionWriter((std::size_t{n} + 7) / 8);
+  out[kLabels] = SectionWriter(
+      (1 + kVarint64Bytes * packet::kTrafficLabelCount) * std::size_t{n});
 
   // Zone map recomputed from the rows themselves so the header always
   // agrees with the payload, even for hand-built segments.
   SegmentZoneMap zone;
   zone.flow_count = n;
+  zone.min_ts = keys.min_ts;
   if (n > 0) {
-    zone.min_ts = flows.front().flow.first_ts;
     zone.max_ts = flows.front().flow.last_ts;
     zone.id_lo = flows.front().id;
     zone.id_hi = flows.back().id;
   }
-  for (const auto& stored : flows) {
-    const auto& f = stored.flow;
-    zone.min_ts = std::min(zone.min_ts, f.first_ts);
+
+  // The row pass. Flow ids: absolute first, zigzag deltas after (ingest
+  // assigns them ascending, so deltas are tiny — but the codec never
+  // assumes it). first_ts: offset from the zone minimum (never
+  // negative); last_ts: zigzag duration from first_ts. Direction and
+  // saw_dns: one bit per row each, eight rows to a byte. label_packets
+  // is almost always a single nonzero entry: a presence mask, then the
+  // nonzero values. Scenario instance ids: background flows carry 0,
+  // so the column is one byte per flow outside attack windows.
+  const auto min_ns = static_cast<std::uint64_t>(keys.min_ts.nanos());
+  std::uint8_t direction_bits = 0;
+  std::uint8_t dns_bits = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const StoredFlow& s = flows[i];
+    const capture::FlowRecord& f = s.flow;
     zone.max_ts = std::max(zone.max_ts, f.last_ts);
     zone.packets += f.packets;
     zone.bytes += f.bytes;
     ++zone.label_flows[static_cast<std::size_t>(f.majority_label())];
-  }
 
-  ByteWriter payload(static_cast<std::size_t>(n) * 24 + 256);
+    out[kIds].varint(i == 0 ? s.id
+                            : zigzag(static_cast<std::int64_t>(
+                                  s.id - flows[i - 1].id)));
+    const auto first = static_cast<std::uint64_t>(f.first_ts.nanos());
+    out[kFirstTs].varint(first - min_ns);
+    out[kDuration].varint(zigzag(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(f.last_ts.nanos()) - first)));
+    out[kSrcHost].varint(keys.ordinals[2 * std::size_t{i}]);
+    out[kDstHost].varint(keys.ordinals[2 * std::size_t{i} + 1]);
+    out[kSrcPort].varint(f.tuple.src_port);
+    out[kDstPort].varint(f.tuple.dst_port);
+    out[kProto].varint(keys.proto_rank[f.tuple.proto]);
 
-  // Each section's end offset, in file order; the directory is built
-  // from them.
-  std::array<std::uint64_t, kSegmentSections + 1> bounds{};
-  std::size_t sections = 0;
-  const auto end_section = [&] { bounds[++sections] = payload.size(); };
-
-  std::size_t col_start = 0;
-  const auto column = [&](const char* name, std::uint64_t memory_bytes) {
-    if (info != nullptr)
-      info->columns.push_back(
-          ColumnBytes{name, payload.size() - col_start, memory_bytes});
-    col_start = payload.size();
-  };
-
-  // Flow ids: absolute first, zigzag deltas after (ingest assigns them
-  // ascending, so deltas are tiny — but the codec never assumes it).
-  for (std::size_t i = 0; i < flows.size(); ++i)
-    put_varint(payload, i == 0 ? flows[i].id
-                               : zigzag(static_cast<std::int64_t>(
-                                     flows[i].id - flows[i - 1].id)));
-  end_section();
-  column("flow_id", static_cast<std::uint64_t>(n) * 8);
-
-  // Timestamps: first_ts as offset from the zone minimum (always
-  // non-negative), last_ts as zigzag duration from first_ts.
-  for (const auto& s : flows)
-    put_varint(payload,
-               static_cast<std::uint64_t>(s.flow.first_ts.nanos()) -
-                   static_cast<std::uint64_t>(zone.min_ts.nanos()));
-  end_section();
-  column("first_ts", static_cast<std::uint64_t>(n) * 8);
-  for (const auto& s : flows)
-    put_varint(payload,
-               zigzag(static_cast<std::int64_t>(
-                   static_cast<std::uint64_t>(s.flow.last_ts.nanos()) -
-                   static_cast<std::uint64_t>(s.flow.first_ts.nanos()))));
-  end_section();
-  column("duration", static_cast<std::uint64_t>(n) * 8);
-
-  // Host dictionary: sorted unique src+dst addresses, delta-encoded;
-  // the address columns are dictionary indexes.
-  std::vector<std::uint32_t> hosts;
-  hosts.reserve(flows.size() * 2);
-  for (const auto& s : flows) {
-    hosts.push_back(s.flow.tuple.src.value());
-    hosts.push_back(s.flow.tuple.dst.value());
-  }
-  std::sort(hosts.begin(), hosts.end());
-  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
-  put_varint(payload, hosts.size());
-  for (std::size_t i = 0; i < hosts.size(); ++i)
-    put_varint(payload, i == 0 ? hosts[i] : hosts[i] - hosts[i - 1]);
-  end_section();
-  column("host_dict", 0);
-  const auto host_index = [&hosts](std::uint32_t value) {
-    return static_cast<std::uint64_t>(
-        std::lower_bound(hosts.begin(), hosts.end(), value) -
-        hosts.begin());
-  };
-  for (const auto& s : flows)
-    put_varint(payload, host_index(s.flow.tuple.src.value()));
-  end_section();
-  column("src_host", static_cast<std::uint64_t>(n) * 4);
-  for (const auto& s : flows)
-    put_varint(payload, host_index(s.flow.tuple.dst.value()));
-  end_section();
-  column("dst_host", static_cast<std::uint64_t>(n) * 4);
-
-  for (const auto& s : flows) put_varint(payload, s.flow.tuple.src_port);
-  end_section();
-  for (const auto& s : flows) put_varint(payload, s.flow.tuple.dst_port);
-  end_section();
-  column("ports", static_cast<std::uint64_t>(n) * 4);
-
-  // Protocol dictionary (a campus sees a handful of IP protocols).
-  std::vector<std::uint8_t> protos;
-  protos.reserve(flows.size());
-  for (const auto& s : flows) protos.push_back(s.flow.tuple.proto);
-  std::sort(protos.begin(), protos.end());
-  protos.erase(std::unique(protos.begin(), protos.end()), protos.end());
-  put_varint(payload, protos.size());
-  for (const auto p : protos) payload.u8(p);
-  for (const auto& s : flows)
-    put_varint(payload,
-               static_cast<std::uint64_t>(
-                   std::lower_bound(protos.begin(), protos.end(),
-                                    s.flow.tuple.proto) -
-                   protos.begin()));
-  end_section();
-  column("proto", static_cast<std::uint64_t>(n));
-
-  // Direction and saw_dns, one bit per flow each.
-  const auto put_bitset = [&](auto&& bit_of) {
-    std::uint8_t acc = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (bit_of(flows[i])) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        payload.u8(acc);
-        acc = 0;
-      }
+    const auto bit = static_cast<std::uint8_t>(1u << (i % 8));
+    if (f.initial_direction == sim::Direction::kOutbound)
+      direction_bits |= bit;
+    if (f.saw_dns) dns_bits |= bit;
+    if (i % 8 == 7) {
+      out[kDirection].byte(std::exchange(direction_bits, 0));
+      out[kSawDns].byte(std::exchange(dns_bits, 0));
     }
-    if (n % 8 != 0) payload.u8(acc);
-    end_section();
-  };
-  put_bitset([](const StoredFlow& s) {
-    return s.flow.initial_direction == sim::Direction::kOutbound;
-  });
-  put_bitset([](const StoredFlow& s) { return s.flow.saw_dns; });
-  column("flags", static_cast<std::uint64_t>(n) * 2);
 
-  const auto u64_column = [&](auto&& field_of) {
-    for (const auto& s : flows) put_varint(payload, field_of(s.flow));
-    end_section();
-  };
-  u64_column([](const capture::FlowRecord& f) { return f.packets; });
-  u64_column([](const capture::FlowRecord& f) { return f.bytes; });
-  u64_column([](const capture::FlowRecord& f) { return f.payload_bytes; });
-  u64_column([](const capture::FlowRecord& f) { return f.fwd_packets; });
-  u64_column([](const capture::FlowRecord& f) { return f.rev_packets; });
-  column("counters", static_cast<std::uint64_t>(n) * 40);
-  u64_column([](const capture::FlowRecord& f) { return f.syn_count; });
-  u64_column([](const capture::FlowRecord& f) { return f.synack_count; });
-  u64_column([](const capture::FlowRecord& f) { return f.fin_count; });
-  u64_column([](const capture::FlowRecord& f) { return f.rst_count; });
-  u64_column([](const capture::FlowRecord& f) { return f.psh_count; });
-  column("tcp_flags", static_cast<std::uint64_t>(n) * 20);
+    out[kPackets].varint(f.packets);
+    out[kBytes].varint(f.bytes);
+    out[kPayloadBytes].varint(f.payload_bytes);
+    out[kFwdPackets].varint(f.fwd_packets);
+    out[kRevPackets].varint(f.rev_packets);
+    out[kSynCount].varint(f.syn_count);
+    out[kSynackCount].varint(f.synack_count);
+    out[kFinCount].varint(f.fin_count);
+    out[kRstCount].varint(f.rst_count);
+    out[kPshCount].varint(f.psh_count);
 
-  // label_packets is almost always a single nonzero entry: a presence
-  // mask plus the nonzero values only.
-  for (const auto& s : flows) {
     std::uint8_t mask = 0;
     for (std::size_t l = 0; l < packet::kTrafficLabelCount; ++l)
-      if (s.flow.label_packets[l] != 0)
-        mask |= static_cast<std::uint8_t>(1u << l);
-    payload.u8(mask);
+      if (f.label_packets[l] != 0) mask |= static_cast<std::uint8_t>(1u << l);
+    out[kLabels].byte(mask);
     for (std::size_t l = 0; l < packet::kTrafficLabelCount; ++l)
-      if (s.flow.label_packets[l] != 0)
-        put_varint(payload, s.flow.label_packets[l]);
-  }
-  end_section();
-  column("labels", static_cast<std::uint64_t>(n) * 40);
+      if (f.label_packets[l] != 0) out[kLabels].varint(f.label_packets[l]);
 
-  // Scenario instance ids: background flows carry 0, so the column is
-  // one byte per flow outside attack windows.
-  u64_column([](const capture::FlowRecord& f) { return f.scenario_id; });
-  column("scenario_id", static_cast<std::uint64_t>(n) * 4);
+    out[kScenarioId].varint(f.scenario_id);
+  }
+  if (n % 8 != 0) {
+    out[kDirection].byte(direction_bits);
+    out[kSawDns].byte(dns_bits);
+  }
 
   // Inverted indexes, as seal() built them: keys ascending, each
   // followed by its ascending offsets (the golden fixture pins the
   // encoding bit-for-bit).
-  const auto put_keyed_index = [&](const auto& index) {
-    put_varint(payload, index.size());
-    for (std::size_t i = 0; i < index.size(); ++i) {
-      const std::uint64_t key = index.keys[i];
-      put_varint(payload, i == 0 ? key : key - index.keys[i - 1]);
-      encode_offsets(payload, index.postings(i));
-    }
-    end_section();
-    return index.rows.size() * sizeof(std::uint32_t) +
-           index.size() * kHotBytesPerIndexKey;
-  };
-  column("index_host", put_keyed_index(segment.by_host));
-  column("index_port", put_keyed_index(segment.by_port));
+  out[kHostIndex] = keyed_index_section(segment.by_host);
+  out[kPortIndex] = keyed_index_section(segment.by_port);
   std::uint64_t label_entries = 0;
-  for (const auto& offsets : segment.by_label) {
-    encode_offsets(payload, offsets);
-    label_entries += offsets.size();
-  }
-  end_section();
-  column("index_label", label_entries * sizeof(std::uint32_t));
+  for (const auto& offsets : segment.by_label) label_entries += offsets.size();
+  out[kLabelIndex] =
+      SectionWriter(kVarint64Bytes * packet::kTrafficLabelCount +
+                    kVarint32Bytes * label_entries);
+  for (const auto& offsets : segment.by_label)
+    out[kLabelIndex].offsets(offsets);
+
+  // Each section's offset in the payload, in file order; the directory
+  // and the column report are read off them.
+  std::array<std::uint64_t, kSegmentSections + 1> bounds{};
+  for (std::size_t s = 0; s < kSegmentSections; ++s)
+    bounds[s + 1] = bounds[s] + out[s].written().size();
+  const std::uint64_t payload_size = bounds.back();
+
+  std::vector<std::uint8_t> file;
+  file.reserve(kSegmentFileHeaderBytes + payload_size);
+  file.resize(kSegmentFileHeaderBytes);  // the header's place
+  for (const SectionWriter& section : out)
+    file.insert(file.end(), section.written().begin(),
+                section.written().end());
 
   ByteWriter header(kSegmentFileHeaderBytes);
   header.u64(kMagic);
   header.u32(kSegmentFileVersion);
   header.u32(0);  // flags, reserved
-  header.u64(payload.size());
-  header.u64(checksum64(payload.view()));
+  header.u64(payload_size);
+  header.u64(checksum64(
+      std::span<const std::uint8_t>(file).subspan(kSegmentFileHeaderBytes)));
   header.u32(zone.flow_count);
   header.u64(static_cast<std::uint64_t>(zone.min_ts.nanos()));
   header.u64(static_cast<std::uint64_t>(zone.max_ts.nanos()));
@@ -887,19 +936,44 @@ std::vector<std::uint8_t> encode_segment(const Segment& segment,
     header.u64(bounds[s + 1] - bounds[s]);
   }
   header.u64(fnv1a(header.view()));
-
-  std::vector<std::uint8_t> out;
-  out.reserve(header.size() + payload.size());
-  out.insert(out.end(), header.view().begin(), header.view().end());
-  out.insert(out.end(), payload.view().begin(), payload.view().end());
+  std::copy(header.view().begin(), header.view().end(), file.begin());
 
   if (info != nullptr) {
-    info->file_bytes = out.size();
-    info->payload_bytes = payload.size();
+    const auto bytes = [&bounds](Section first, Section last) {
+      return bounds[last + 1] - bounds[first];
+    };
+    const auto index_bytes = [](const auto& index) {
+      return index.rows.size() * sizeof(std::uint32_t) +
+             index.size() * kHotBytesPerIndexKey;
+    };
+    const std::uint64_t rows = n;
+    info->columns = {
+        {"flow_id", bytes(kIds, kIds), rows * 8},
+        {"first_ts", bytes(kFirstTs, kFirstTs), rows * 8},
+        {"duration", bytes(kDuration, kDuration), rows * 8},
+        {"host_dict", bytes(kHostDict, kHostDict), 0},
+        {"src_host", bytes(kSrcHost, kSrcHost), rows * 4},
+        {"dst_host", bytes(kDstHost, kDstHost), rows * 4},
+        {"ports", bytes(kSrcPort, kDstPort), rows * 4},
+        {"proto", bytes(kProto, kProto), rows},
+        {"flags", bytes(kDirection, kSawDns), rows * 2},
+        {"counters", bytes(kPackets, kRevPackets), rows * 40},
+        {"tcp_flags", bytes(kSynCount, kPshCount), rows * 20},
+        {"labels", bytes(kLabels, kLabels), rows * 40},
+        {"scenario_id", bytes(kScenarioId, kScenarioId), rows * 4},
+        {"index_host", bytes(kHostIndex, kHostIndex),
+         index_bytes(segment.by_host)},
+        {"index_port", bytes(kPortIndex, kPortIndex),
+         index_bytes(segment.by_port)},
+        {"index_label", bytes(kLabelIndex, kLabelIndex),
+         label_entries * sizeof(std::uint32_t)},
+    };
+    info->file_bytes = file.size();
+    info->payload_bytes = payload_size;
     info->memory_bytes = segment_memory_bytes(segment);
     info->zone = zone;
   }
-  return out;
+  return file;
 }
 
 std::uint64_t segment_memory_bytes(const Segment& segment) noexcept {
@@ -1068,27 +1142,14 @@ ColdSegmentHandle::~ColdSegmentHandle() {
   }
 }
 
-Result<std::shared_ptr<const Segment>> ColdSegmentHandle::load() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto live = whole_.lock()) return live;
-  auto loaded = timed_load(path_, [](std::span<const std::uint8_t> file) {
-    return decode_segment(file);
-  });
-  if (loaded.ok()) whole_ = loaded.value();
-  return loaded;
-}
-
 Result<std::shared_ptr<const Segment>> ColdSegmentHandle::load(
     IndexKind plan, std::uint64_t key) const {
   const auto project = [plan, key](std::span<const std::uint8_t> file) {
     return decode_projection(file, plan, key);
   };
-  std::unique_lock<std::mutex> lock(mu_);
-  if (auto live = whole_.lock()) return live;
-  if (plan != IndexKind::kTimeScan) {
-    lock.unlock();  // private to this caller: nothing to share or wait on
-    return timed_load(path_, project);
-  }
+  if (plan != IndexKind::kTimeScan)
+    return timed_load(path_, project);  // private: nothing to share
+  std::lock_guard<std::mutex> lock(mu_);
   if (auto live = rows_.lock()) return live;
   auto loaded = timed_load(path_, project);
   if (loaded.ok()) rows_ = loaded.value();

@@ -9,8 +9,8 @@
 // RAM, at several thread counts; and a failing disk must degrade
 // gracefully (segments stay hot, retries counted in obs).
 //
-// The plan projections (decode_projection, ColdSegmentHandle::load with
-// a plan) must hold exactly the whole decode's rows at the offsets the
+// The plan projections (decode_projection, ColdSegmentHandle::load)
+// must hold exactly the whole decode's rows at the offsets the
 // plan's index names, and the handle shares a live decode only with the
 // plans it serves.
 //
@@ -464,21 +464,31 @@ TEST(SegmentFile, ColdHandleSharesOneDecode) {
   const std::string path = dir + "/seg.clseg";
   auto written = write_segment_file(*seg, path);
   ASSERT_TRUE(written.ok());
+  const obs::Counter& loads =
+      obs::Registry::global().counter("store.cold_loads");
+  const std::uint64_t before = loads.value();
 
   ColdSegmentHandle handle(path, written.value().zone,
                            written.value().file_bytes);
-  auto a = handle.load();
-  auto b = handle.load();
+  auto a = handle.load(IndexKind::kTimeScan, 0);
+  auto b = handle.load(IndexKind::kTimeScan, 0);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().get(), b.value().get());  // cached, one decode
-  const Segment* first = a.value().get();
+  EXPECT_EQ(loads.value(), before + 1);
   a = Error::make("x", "drop");  // release both references
   b = Error::make("x", "drop");
-  auto c = handle.load();  // cache expired → a fresh decode
+  auto c = handle.load(IndexKind::kTimeScan, 0);  // expired: a fresh decode
   ASSERT_TRUE(c.ok());
-  expect_segment_equal(*c.value(), *seg);
-  (void)first;
+  EXPECT_EQ(loads.value(), before + 2);
+  // It holds every row of the file; the whole, indexed decode is
+  // read_segment_file's.
+  auto whole = read_segment_file(handle.path());
+  ASSERT_TRUE(whole.ok());
+  expect_segment_equal(*whole.value(), *seg);
+  ASSERT_EQ(c.value()->flows.size(), seg->flows.size());
+  for (std::size_t i = 0; i < seg->flows.size(); ++i)
+    expect_flow_equal(c.value()->flows[i], seg->flows[i]);
   std::filesystem::remove_all(dir);
 }
 
@@ -592,9 +602,9 @@ TEST(SegmentFile, ProjectionsHoldTheRowsTheirIndexNames) {
 }
 
 // The handle shares a live decode only with the plans it serves: a
-// whole decode serves every plan, a time-scan decode serves time scans
-// only, and a key projection is never shared. Each decode counts one
-// store.cold_loads tick; joining a live one counts none.
+// time-scan decode serves time scans only, and a key projection is
+// never shared. Each decode counts one store.cold_loads tick; joining a
+// live one counts none.
 TEST(SegmentFile, ColdHandleSharesADecodeOnlyWithPlansItServes) {
   const auto dir = fresh_dir("segfile_handle_plans");
   const auto seg = make_segment(
@@ -618,21 +628,12 @@ TEST(SegmentFile, ColdHandleSharesADecodeOnlyWithPlansItServes) {
     ASSERT_TRUE(scan.ok() && scan_again.ok());
     EXPECT_EQ(scan.value().get(), scan_again.value().get());
     EXPECT_EQ(decodes(), 1u);
-    // A time-scan decode has no index: neither a key plan nor a whole
-    // load may join it.
+    // A time-scan decode has no index: no key plan may join it.
     auto private_host = handle.load(IndexKind::kHost, host);
-    ASSERT_TRUE(private_host.ok());
+    auto private_label = handle.load(IndexKind::kLabel, 0);
+    ASSERT_TRUE(private_host.ok() && private_label.ok());
     EXPECT_NE(private_host.value().get(), scan.value().get());
-    EXPECT_EQ(decodes(), 2u);
-    auto whole = handle.load();
-    ASSERT_TRUE(whole.ok());
-    EXPECT_NE(whole.value().get(), scan.value().get());
-    EXPECT_EQ(decodes(), 3u);
-    auto by_host = handle.load(IndexKind::kHost, host);
-    auto by_label = handle.load(IndexKind::kLabel, 0);
-    ASSERT_TRUE(by_host.ok() && by_label.ok());
-    EXPECT_EQ(by_host.value().get(), whole.value().get());
-    EXPECT_EQ(by_label.value().get(), whole.value().get());
+    EXPECT_NE(private_label.value().get(), scan.value().get());
     EXPECT_EQ(decodes(), 3u);
   }
   {

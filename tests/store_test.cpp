@@ -398,8 +398,8 @@ TEST(QueryCursor, RespectsLimitAndSpansSegments) {
 // segment k+1 it has let go of segment k, so loading k's file again
 // decodes it afresh instead of joining a decode the cursor still holds.
 // The probe asks for what the cursor's time scan decoded (every row, no
-// index), the one decode it could join: a whole load() could never
-// share that decode, so it would read the file afresh either way.
+// index), the one decode it could join: a key plan never shares a
+// decode, so it would read the file afresh either way.
 TEST(QueryCursor, HoldsAtMostOneColdDecode) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("campuslab_cursor_cold_" + std::to_string(::getpid()));
@@ -559,7 +559,7 @@ TEST(DataStoreProperty, IndexedQueryEqualsScan) {
     for (const PinnedSegment& pin : snap.segments()) {
       std::shared_ptr<const Segment> seg = pin.segment;
       if (seg == nullptr) {
-        auto loaded = pin.cold->load();
+        auto loaded = read_segment_file(pin.cold->path());
         ASSERT_TRUE(loaded.ok()) << loaded.error().message;
         seg = std::move(loaded).value();
       }

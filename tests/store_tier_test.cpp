@@ -18,7 +18,7 @@
 // must read the file again rather than the projection's few rows.
 //
 // Then threads run mixed plans over the same cold handles at once,
-// beside a reader that holds whole-file decodes: the case in which a
+// beside a reader that holds time-scan decodes: the case in which a
 // decode without an index section could be handed to a plan that needs
 // one. The names start with StoreTier, so the TSAN job runs them.
 //
@@ -26,6 +26,7 @@
 // failure names its seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -438,9 +439,11 @@ TEST(StoreTierDifferential, ResultSnapshotsServeFollowUpPlans) {
 }
 
 // Threads run mixed plans over the same cold handles at once: time
-// scans share one index-less decode per file, key plans read private
-// projections, and a reader beside them holds whole-file decodes that
-// any plan may join. Every answer must equal the hot store's.
+// scans share one index-less decode per file, and key plans read
+// private projections. A reader beside them holds a time-scan decode of
+// one file at a time, through the same handles, so key plans meet live
+// decodes they must not join; it checks each against the whole file as
+// read_segment_file decodes it. Every answer must equal the hot store's.
 TEST(StoreTierDifferential, MixedPlansShareColdHandlesSafely) {
   constexpr int kThreads = 4;
   constexpr int kQueriesPerThread = 60;
@@ -464,16 +467,23 @@ TEST(StoreTierDifferential, MixedPlansShareColdHandlesSafely) {
       }
 
     std::atomic<bool> done{false};
-    std::thread whole_reader([&] {
-      // Holds a whole decode of one file at a time, so concurrent plans
-      // sometimes join it instead of reading their own.
+    std::thread scan_holder([&] {
       const StoreSnapshot snap = cold.snapshot();
       Rng pick(seed);
       while (!done.load(std::memory_order_acquire)) {
         const auto& pin = snap.segments()[pick.below(snap.segments().size())];
         if (pin.cold == nullptr) continue;
-        auto whole = pin.cold->load();
-        EXPECT_TRUE(whole.ok());
+        auto rows = pin.cold->load(IndexKind::kTimeScan, 0);
+        auto whole = read_segment_file(pin.cold->path());
+        ASSERT_TRUE(rows.ok() && whole.ok());
+        const auto& got = rows.value()->flows;
+        const auto& want = whole.value()->flows;
+        EXPECT_TRUE(std::equal(
+            got.begin(), got.end(), want.begin(), want.end(),
+            [](const StoredFlow& a, const StoredFlow& b) {
+              return a.id == b.id && a.flow.tuple == b.flow.tuple &&
+                     a.flow.bytes == b.flow.bytes;
+            }));
         std::this_thread::yield();
       }
     });
@@ -498,7 +508,7 @@ TEST(StoreTierDifferential, MixedPlansShareColdHandlesSafely) {
     }
     for (auto& w : workers) w.join();
     done.store(true, std::memory_order_release);
-    whole_reader.join();
+    scan_holder.join();
     for (const std::string& failure : failures) EXPECT_EQ(failure, "");
   }
 }
